@@ -811,7 +811,10 @@ std::size_t heap_bytes_now() {
 /// plus mallinfo2 deltas for both representations), and verifies the flat
 /// results byte-identical to legacy at 1 and 4 lanes. Fails (exit 1) when
 /// the flat path is not >= 1.3x legacy throughput on the largest design.
-/// The JSON record lands in flatgraph_perf.json.
+/// A parasitics-on row times the end-to-end StaEngine::run with RC trees
+/// on the ~100k-cell design against the same call without them (the
+/// on/off ratio), with the same identity checks. The JSON record lands in
+/// flatgraph_perf.json.
 int run_flatgraph_sweep(const std::string& json_path) {
   using clock = std::chrono::steady_clock;
   const TechParams tech = TechParams::nominal28();
@@ -837,6 +840,22 @@ int run_flatgraph_sweep(const std::string& json_path) {
         generate_tiled_multiplier_array(16, 1, lib).num_cells();
     const int tiles = static_cast<int>((target + per - 1) / per);
     return generate_tiled_multiplier_array(16, std::max(tiles, 1), lib);
+  };
+
+  auto identical = [](const StaEngine::Result& a, const StaEngine::Result& b) {
+    if (a.nets.size() != b.nets.size() || a.max_arrival != b.max_arrival ||
+        a.critical_net != b.critical_net) {
+      return false;
+    }
+    for (std::size_t n = 0; n < b.nets.size(); ++n) {
+      if (std::memcmp(&a.nets[n].arrival, &b.nets[n].arrival,
+                      sizeof(b.nets[n].arrival)) != 0 ||
+          std::memcmp(&a.nets[n].slew, &b.nets[n].slew,
+                      sizeof(b.nets[n].slew)) != 0) {
+        return false;
+      }
+    }
+    return true;
   };
 
   std::ofstream json(json_path);
@@ -896,23 +915,6 @@ int run_flatgraph_sweep(const std::string& json_path) {
       return best;
     };
 
-    auto identical = [](const StaEngine::Result& a,
-                        const StaEngine::Result& b) {
-      if (a.nets.size() != b.nets.size() || a.max_arrival != b.max_arrival ||
-          a.critical_net != b.critical_net) {
-        return false;
-      }
-      for (std::size_t n = 0; n < b.nets.size(); ++n) {
-        if (std::memcmp(&a.nets[n].arrival, &b.nets[n].arrival,
-                        sizeof(b.nets[n].arrival)) != 0 ||
-            std::memcmp(&a.nets[n].slew, &b.nets[n].slew,
-                        sizeof(b.nets[n].slew)) != 0) {
-          return false;
-        }
-      }
-      return true;
-    };
-
     StaEngine::Result legacy1, flat1, legacy4, flat4;
     const double legacy1_s = timed_run(false, 1, &legacy1);
     const double flat1_s = timed_run(true, 1, &flat1);
@@ -963,7 +965,73 @@ int run_flatgraph_sweep(const std::string& json_path) {
               << static_cast<double>(legacy_heap) / cells << " B/cell"
               << (same ? "" : "  MISMATCH") << "\n";
   }
-  json << "\n  ],\n  \"largest_design_speedup\": " << largest_speedup
+  json << "\n  ]";
+
+  // Parasitics-on row: the end-to-end StaEngine::run(netlist, parasitics)
+  // (compile, annotate, bind, propagate) on the ~100k-cell TMUL with
+  // generate_parasitics trees, flat and legacy at 1 and 4 lanes, next to
+  // the same call without parasitics. Recorded, not gated: annotate still
+  // copies every tree per run and resolves sinks by name.
+  {
+    const GateNetlist netlist = sized("mul", 100000);
+    const ParasiticDb parasitics = generate_parasitics(netlist, tech);
+    const ParasiticDb none;
+    netlist.levelization();
+    std::size_t tree_nodes = 0;
+    std::size_t sinks = 0;
+    for (const auto& [name, tree] : parasitics.all()) {
+      tree_nodes += static_cast<std::size_t>(tree.num_nodes());
+      sinks += tree.sinks().size();
+    }
+    auto end_to_end = [&](bool flat, unsigned threads, const ParasiticDb& db,
+                          StaEngine::Result& out) {
+      StaConfig cfg;
+      cfg.exec.threads = threads;
+      cfg.min_parallel_cells = threads > 1 ? 1 : netlist.num_cells() + 1;
+      cfg.use_flatgraph = flat;
+      const StaEngine engine(model, tech, cfg);
+      double best = 1e300;
+      for (int rep = 0; rep < 2; ++rep) {
+        const auto t0 = clock::now();
+        out = engine.run(netlist, db);
+        best = std::min(best, std::chrono::duration<double>(
+                                  clock::now() - t0).count());
+      }
+      return best;
+    };
+    StaEngine::Result off1, off4, flat1, flat4, legacy1, legacy4;
+    const double off1_s = end_to_end(true, 1, none, off1);
+    const double flat1_s = end_to_end(true, 1, parasitics, flat1);
+    const double legacy1_s = end_to_end(false, 1, parasitics, legacy1);
+    const double off4_s = end_to_end(true, 4, none, off4);
+    const double flat4_s = end_to_end(true, 4, parasitics, flat4);
+    const double legacy4_s = end_to_end(false, 4, parasitics, legacy4);
+    const bool same = identical(flat1, legacy1) && identical(flat4, legacy4) &&
+                      identical(flat4, flat1) && identical(off4, off1);
+    all_identical = all_identical && same;
+    json << ",\n  \"parasitics_on\": {\"design\": \"" << netlist.name()
+         << "\", \"cells\": " << netlist.num_cells()
+         << ", \"tree_nodes\": " << tree_nodes << ", \"sinks\": " << sinks
+         << ",\n    \"off_flat_seconds\": " << off1_s
+         << ", \"flat_seconds\": " << flat1_s
+         << ", \"legacy_seconds\": " << legacy1_s
+         << ", \"on_off_ratio\": " << flat1_s / off1_s
+         << ",\n    \"off_flat_seconds_4t\": " << off4_s
+         << ", \"flat_seconds_4t\": " << flat4_s
+         << ", \"legacy_seconds_4t\": " << legacy4_s
+         << ", \"on_off_ratio_4t\": " << flat4_s / off4_s
+         << ",\n    \"bit_identical\": " << (same ? "true" : "false") << "}";
+    std::cerr << "[flatgraph-sweep] " << netlist.name() << " parasitics-on ("
+              << tree_nodes << " tree nodes, " << sinks << " sinks): flat "
+              << flat1_s * 1e3 << " ms vs " << off1_s * 1e3
+              << " ms off (ratio " << flat1_s / off1_s << "), legacy "
+              << legacy1_s * 1e3 << " ms; 4t flat " << flat4_s * 1e3
+              << " ms vs " << off4_s * 1e3 << " ms off (ratio "
+              << flat4_s / off4_s << "), legacy " << legacy4_s * 1e3 << " ms"
+              << (same ? "" : "  MISMATCH") << "\n";
+  }
+
+  json << ",\n  \"largest_design_speedup\": " << largest_speedup
        << ",\n  \"speedup_gate\": 1.3\n}\n";
   std::cerr << "[flatgraph-sweep] wrote " << json_path << "\n";
   if (!all_identical) {

@@ -271,7 +271,10 @@ GateNetlist generate_array_divider(int bits, const CellLibrary& lib,
   GateNetlist nl(name);
   Builder b(nl, lib);
   std::vector<int> num, den;
-  for (int i = 0; i < bits; ++i) num.push_back(b.pi("n" + std::to_string(i)));
+  // "num<i>", not "n<i>": Builder names its internal nets "n<counter>".
+  for (int i = 0; i < bits; ++i) {
+    num.push_back(b.pi("num" + std::to_string(i)));
+  }
   for (int i = 0; i < bits; ++i) den.push_back(b.pi("d" + std::to_string(i)));
   const int one = b.pi("one");
 
@@ -420,7 +423,10 @@ GateNetlist generate_divider_chain(int bits, int stages,
   GateNetlist nl(name);
   Builder b(nl, lib);
   std::vector<int> num, den;
-  for (int i = 0; i < bits; ++i) num.push_back(b.pi("n" + std::to_string(i)));
+  // "num<i>", not "n<i>": Builder names its internal nets "n<counter>".
+  for (int i = 0; i < bits; ++i) {
+    num.push_back(b.pi("num" + std::to_string(i)));
+  }
   for (int i = 0; i < bits; ++i) den.push_back(b.pi("d" + std::to_string(i)));
   const int one = b.pi("one");
 
@@ -533,7 +539,7 @@ void finalize_design(GateNetlist& netlist, const CellLibrary& lib,
 
 namespace {
 int insert_buffers_pass(GateNetlist& netlist, const CellLibrary& lib,
-                        int max_fanout);
+                        int max_fanout, int pass);
 }  // namespace
 
 int insert_buffers(GateNetlist& netlist, const CellLibrary& lib,
@@ -544,7 +550,7 @@ int insert_buffers(GateNetlist& netlist, const CellLibrary& lib,
   // whole netlist satisfies the constraint (builds a buffer tree).
   int total = 0;
   for (int pass = 0; pass < 8; ++pass) {
-    const int inserted = insert_buffers_pass(netlist, lib, max_fanout);
+    const int inserted = insert_buffers_pass(netlist, lib, max_fanout, pass);
     total += inserted;
     if (inserted == 0) break;
   }
@@ -553,11 +559,17 @@ int insert_buffers(GateNetlist& netlist, const CellLibrary& lib,
 
 namespace {
 int insert_buffers_pass(GateNetlist& netlist, const CellLibrary& lib,
-                        int max_fanout) {
+                        int max_fanout, int pass) {
   // Plan: for each over-fanout net, sinks beyond the first `max_fanout`
   // move onto inserted BUFx4 cells (chained if needed). We rebuild the
   // netlist because GateNetlist is append-only.
   GateNetlist out(netlist.name());
+  // Only a net an earlier pass split over more than `max_fanout` buffers
+  // is over the cap again, and its <net>_buf<g> names are taken: later
+  // passes name buffers <net>_buf<pass>_<g>. First-pass names stay
+  // <net>_buf<g>, so designs one pass fully buffers keep their names.
+  const std::string buf_infix =
+      pass == 0 ? "_buf" : "_buf" + std::to_string(pass) + "_";
   const CellType& buf = lib.by_func(CellFunc::kBuf, 4);
 
   std::vector<int> net_map(netlist.num_nets(), -1);
@@ -588,7 +600,7 @@ int insert_buffers_pass(GateNetlist& netlist, const CellLibrary& lib,
     if (fanout <= max_fanout) return;
     const int groups = (fanout + max_fanout - 1) / max_fanout;
     for (int g = 0; g < groups; ++g) {
-      const std::string bn = net.name + "_buf" + std::to_string(g);
+      const std::string bn = net.name + buf_infix + std::to_string(g);
       const int cell = out.add_cell(
           bn + "_g", buf, {net_map[static_cast<std::size_t>(orig_net)]}, bn);
       serving[static_cast<std::size_t>(orig_net)].push_back(

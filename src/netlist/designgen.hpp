@@ -102,7 +102,9 @@ std::string design_stats_line(const GateNetlist& netlist);
 
 /// Inserts BUF cells on nets whose fanout exceeds `max_fanout`, splitting
 /// the sink set — the post-synthesis buffering pass real flows run.
-/// Returns the number of buffers inserted.
+/// Repeats until every net meets the cap, building buffer trees; buffer
+/// nets are named <net>_buf<g>, or <net>_buf<pass>_<g> when a later pass
+/// re-splits a net. Returns the number of buffers inserted.
 int insert_buffers(GateNetlist& netlist, const CellLibrary& lib,
                    int max_fanout = 8);
 

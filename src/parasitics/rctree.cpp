@@ -55,81 +55,105 @@ double RcTree::total_res() const {
   return r;
 }
 
-double RcTree::common_resistance(int a, int b) const {
-  // Sum of edge resistances shared between root->a and root->b paths.
-  // Gather ancestors of a (including a), then walk b upward.
-  std::vector<int> path_a;
-  for (int n = a; n > 0; n = parent_[static_cast<std::size_t>(n)]) {
-    path_a.push_back(n);
+namespace {
+
+/// Per-thread scratch of the Elmore sweep. It grows to the largest tree the
+/// thread has seen and never shrinks, so warm calls allocate nothing, and
+/// the tree itself keeps no state (bind calls elmore on one tree from
+/// several lanes at once).
+struct SweepScratch {
+  std::vector<int> path;       ///< sink, parent(sink), ..., child of root
+  std::vector<double> sum_up;  ///< per node v: edge resistances from v up
+  std::vector<double> shared;  ///< per node k: R_common(sink, k)
+  std::vector<double> m1;      ///< per node k: elmore(k) (second_moment)
+};
+
+/// The calling thread's scratch, sized for a tree of `nodes` nodes, once
+/// `node` is checked to be one of them.
+SweepScratch& sweep_scratch(std::size_t nodes, int node) {
+  if (node < 0 || static_cast<std::size_t>(node) >= nodes) {
+    throw std::out_of_range("RcTree: bad node " + std::to_string(node));
   }
+  thread_local SweepScratch s;
+  if (s.shared.size() < nodes) {
+    s.sum_up.resize(nodes);
+    s.shared.resize(nodes);
+    s.m1.resize(nodes);
+  }
+  return s;
+}
+
+/// Edge resistances from `v` up to the root, summed bottom-up from 0.0.
+double sum_to_root(const std::vector<int>& parent,
+                   const std::vector<double>& res, int v) {
   double r = 0.0;
-  for (int n = b; n > 0; n = parent_[static_cast<std::size_t>(n)]) {
-    for (int m : path_a) {
-      if (m == n) {
-        r += res_[static_cast<std::size_t>(n)];
-        break;
-      }
-    }
+  for (; v > 0; v = parent[static_cast<std::size_t>(v)]) {
+    r += res[static_cast<std::size_t>(v)];
   }
   return r;
 }
 
-double RcTree::elmore(int node) const {
+/// Fills s.path with the root path of `sink`, deepest node first.
+void trace_path(const std::vector<int>& parent, int sink, SweepScratch& s) {
+  s.path.clear();
+  for (int v = sink; v > 0; v = parent[static_cast<std::size_t>(v)]) {
+    s.path.push_back(v);
+  }
+}
+
+/// One index-order sweep for the sink whose root path is in s.path, with
+/// s.sum_up set on that path. Fills s.shared[k] = R_common(sink, k), the
+/// resistance of the edges from LCA(sink, k) up to the root, and returns
+/// elmore(sink) = sum_k R_common(sink, k) * C_k. R_common(sink, k) is
+/// sum_up[k] for k on the path and R_common(sink, parent(k)) otherwise;
+/// parent < child makes the parent's entry final before k is reached.
+double sweep(const std::vector<int>& parent, const std::vector<double>& cap,
+             SweepScratch& s) {
+  std::size_t next = s.path.size();  // s.path[next - 1]: next on-path node
+  s.shared[0] = 0.0;
   double m1 = 0.0;
-  for (int k = 1; k < num_nodes(); ++k) {
-    m1 += common_resistance(node, k) * cap_[static_cast<std::size_t>(k)];
+  for (std::size_t k = 1; k < parent.size(); ++k) {
+    if (next > 0 && static_cast<std::size_t>(s.path[next - 1]) == k) {
+      --next;
+      s.shared[k] = s.sum_up[k];
+    } else {
+      s.shared[k] = s.shared[static_cast<std::size_t>(parent[k])];
+    }
+    m1 += s.shared[k] * cap[k];
   }
   return m1;
 }
 
+}  // namespace
+
+double RcTree::elmore(int node) const {
+  SweepScratch& s = sweep_scratch(parent_.size(), node);
+  trace_path(parent_, node, s);
+  for (int v : s.path) {
+    s.sum_up[static_cast<std::size_t>(v)] = sum_to_root(parent_, res_, v);
+  }
+  return sweep(parent_, cap_, s);
+}
+
 double RcTree::second_moment(int node) const {
   // m2(i) = sum_k R_common(i,k) * C_k * m1(k); this is the standard
-  // path-tracing recursion for the second impulse-response moment.
-  double m2 = 0.0;
+  // path-tracing recursion for the second impulse-response moment. Every
+  // m1(k) is elmore(k)'s own sweep, over one sum_up table for all nodes.
+  SweepScratch& s = sweep_scratch(parent_.size(), node);
+  for (int v = 1; v < num_nodes(); ++v) {
+    s.sum_up[static_cast<std::size_t>(v)] = sum_to_root(parent_, res_, v);
+  }
   for (int k = 1; k < num_nodes(); ++k) {
-    m2 += common_resistance(node, k) * cap_[static_cast<std::size_t>(k)] *
-          elmore(k);
+    trace_path(parent_, k, s);
+    s.m1[static_cast<std::size_t>(k)] = sweep(parent_, cap_, s);
+  }
+  trace_path(parent_, node, s);
+  sweep(parent_, cap_, s);
+  double m2 = 0.0;
+  for (std::size_t k = 1; k < parent_.size(); ++k) {
+    m2 += s.shared[k] * cap_[k] * s.m1[k];
   }
   return m2;
-}
-
-double RcTree::third_moment(int node) const {
-  double m3 = 0.0;
-  for (int k = 1; k < num_nodes(); ++k) {
-    m3 += common_resistance(node, k) * cap_[static_cast<std::size_t>(k)] *
-          second_moment(k);
-  }
-  return m3;
-}
-
-double RcTree::two_pole_delay(int node, double threshold) const {
-  const double m1 = elmore(node);
-  const double m2 = second_moment(node);
-  // Pade [0/2]: H(s) = 1 / (1 + a1 s + a2 s^2) with a1 = m1,
-  // a2 = m1^2 - m2 (circuit-moment sign convention).
-  const double a1 = m1;
-  const double a2 = m1 * m1 - m2;
-  const double disc = a1 * a1 - 4.0 * a2;
-  if (!(a2 > 0.0) || disc <= 0.0) return d2m(node);  // complex/degenerate
-  // Real poles: time constants tau = 2 a2 / (a1 -+ sqrt(disc)).
-  const double root = std::sqrt(disc);
-  const double tau1 = 2.0 * a2 / (a1 - root);  // slower
-  const double tau2 = 2.0 * a2 / (a1 + root);  // faster
-  if (!(tau1 > 0.0) || !(tau2 > 0.0)) return d2m(node);
-  // Step response: v(t) = 1 - (tau1 e^{-t/tau1} - tau2 e^{-t/tau2})
-  //                            / (tau1 - tau2); solve v(t) = threshold.
-  auto v = [&](double t) {
-    if (tau1 == tau2) return 1.0 - std::exp(-t / tau1) * (1.0 + t / tau1);
-    return 1.0 - (tau1 * std::exp(-t / tau1) - tau2 * std::exp(-t / tau2)) /
-                     (tau1 - tau2);
-  };
-  double lo = 0.0, hi = 30.0 * tau1;
-  if (v(hi) < threshold) return d2m(node);
-  for (int it = 0; it < 80; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (v(mid) < threshold) lo = mid; else hi = mid;
-  }
-  return 0.5 * (lo + hi);
 }
 
 double RcTree::d2m(int node) const {

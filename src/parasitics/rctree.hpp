@@ -20,7 +20,9 @@ class RcTree {
   RcTree();
 
   /// Adds a node hanging off `parent` through resistance `r_ohms`, with
-  /// `c_farads` lumped at the new node. Returns the new node index.
+  /// `c_farads` lumped at the new node. Returns the new node index. The
+  /// parent must already exist, so every node's parent index is below its
+  /// own (the order elmore() sweeps in).
   int add_node(int parent, double r_ohms, double c_farads);
 
   /// Adds extra lumped capacitance at an existing node (e.g. pin caps).
@@ -47,18 +49,19 @@ class RcTree {
   double total_cap() const;
   double total_res() const;
 
-  /// Elmore delay (first moment of the impulse response) root -> node.
+  /// Elmore delay (first moment of the impulse response) root -> node:
+  /// m1 = sum_k R_common(node,k) C_k, where R_common is the resistance of
+  /// the edges from LCA(node,k) up to the root. One O(nodes + depth^2)
+  /// sweep in index order, relying on parent < child (which add_node
+  /// enforces); allocation-free once the calling thread's scratch is warm
+  /// and safe to call on one tree from several threads. Throws
+  /// std::out_of_range for a bad node.
   double elmore(int node) const;
-  /// Second impulse-response moment  m2 = sum_k R_common(i,k) C_k m1(k).
+  /// Second impulse-response moment  m2 = sum_k R_common(i,k) C_k m1(k),
+  /// with every m1(k) from elmore's sweep: O(nodes^2) per call.
   double second_moment(int node) const;
-  /// Third impulse-response moment  m3 = sum_k R_common(i,k) C_k m2(k).
-  double third_moment(int node) const;
   /// D2M delay metric: ln(2) * m1^2 / sqrt(m2).
   double d2m(int node) const;
-  /// Two-pole (AWE-style Pade [0/2]) 50% step-response delay: poles from
-  /// m1/m2, threshold crossing solved numerically. Falls back to D2M when
-  /// the pole pair is complex.
-  double two_pole_delay(int node, double threshold = 0.5) const;
 
   /// Copy with all resistances / capacitances scaled (variation corners).
   RcTree scaled(double r_factor, double c_factor) const;
@@ -73,9 +76,6 @@ class RcTree {
                                   double initial_v) const;
 
  private:
-  /// Resistance of the common root-path of nodes a and b.
-  double common_resistance(int a, int b) const;
-
   std::vector<int> parent_;
   std::vector<double> res_;
   std::vector<double> cap_;

@@ -14,15 +14,20 @@ void ParasiticDb::add(const std::string& net, RcTree tree) {
 }
 
 bool ParasiticDb::contains(const std::string& net) const {
-  return nets_.count(net) != 0;
+  return find(net) != nullptr;
 }
 
 const RcTree& ParasiticDb::net(const std::string& net_name) const {
-  const auto it = nets_.find(net_name);
-  if (it == nets_.end()) {
+  const RcTree* tree = find(net_name);
+  if (tree == nullptr) {
     throw std::out_of_range("ParasiticDb: no parasitics for net " + net_name);
   }
-  return it->second;
+  return *tree;
+}
+
+const RcTree* ParasiticDb::find(std::string_view net_name) const {
+  const auto it = nets_.find(net_name);
+  return it == nets_.end() ? nullptr : &it->second;
 }
 
 std::string ParasiticDb::to_spef(const std::string& design_name) const {

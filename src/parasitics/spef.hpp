@@ -13,9 +13,11 @@
 //   <pin_name> <node_idx>
 //   *END
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "parasitics/rctree.hpp"
@@ -26,20 +28,28 @@ namespace nsdc {
 /// Net-name -> RC tree storage for a whole design.
 class ParasiticDb {
  public:
+  using NetMap = std::map<std::string, RcTree, std::less<>>;
+
   void add(const std::string& net, RcTree tree);
   bool contains(const std::string& net) const;
   const RcTree& net(const std::string& net_name) const;
+  /// The net's tree, or nullptr when it has none: one lookup where
+  /// contains() + net() take two, and no key string is built.
+  const RcTree* find(std::string_view net_name) const;
   std::size_t size() const { return nets_.size(); }
-  const std::map<std::string, RcTree>& all() const { return nets_; }
+  const NetMap& all() const { return nets_; }
 
   /// Serializes to SPEF-lite text.
   std::string to_spef(const std::string& design_name) const;
-  /// Parses SPEF-lite text. With `diags == nullptr` (default) malformed
-  /// input throws std::runtime_error with a line number. With a sink each
-  /// problem becomes a "parse.spef" Diagnostic (1-based line) and parsing
-  /// RECOVERS: unparseable lines are skipped, negative R/C values are
-  /// clamped to zero (warn), and invalid sink nodes are dropped. Run the
-  /// parasitic lint rules on the result to judge the damage.
+  /// Parses SPEF-lite text. Node lines must come in index order, each with
+  /// a parent below its own index: the parent < child order RcTree::elmore
+  /// sweeps in. With `diags == nullptr` (default) malformed input, a node
+  /// out of order included, throws std::runtime_error with a line number.
+  /// With a sink each problem becomes a "parse.spef" Diagnostic (1-based
+  /// line) and parsing RECOVERS: unparseable or out-of-order node lines
+  /// are skipped, negative R/C values are clamped to zero (warn), and
+  /// invalid sink nodes are dropped. Run the parasitic lint rules on the
+  /// result to judge the damage.
   static ParasiticDb from_spef(const std::string& text,
                                std::vector<Diagnostic>* diags = nullptr);
 
@@ -47,7 +57,7 @@ class ParasiticDb {
   static std::optional<ParasiticDb> load(const std::string& path);
 
  private:
-  std::map<std::string, RcTree> nets_;
+  NetMap nets_;
 };
 
 }  // namespace nsdc

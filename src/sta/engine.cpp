@@ -15,8 +15,8 @@ void annotate_net(const GateNetlist& netlist, const ParasiticDb& parasitics,
                   StaEngine::Result& res) {
   const Net& net = netlist.net(static_cast<int>(n));
   double load = 0.0;
-  if (parasitics.contains(net.name)) {
-    RcTree tree = parasitics.net(net.name);
+  if (const RcTree* found = parasitics.find(net.name)) {
+    RcTree tree = *found;
     for (const auto& sink : net.sinks) {
       const auto& inst = netlist.cell(sink.cell);
       const double pin_cap = inst.type->input_cap(tech, sink.pin);

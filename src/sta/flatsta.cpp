@@ -108,10 +108,10 @@ void flat_annotate_net(const FlatTimingGraph& graph,
                        const ParasiticDb& parasitics, const TechParams& tech,
                        std::size_t n, StaEngine::Result& res) {
   using Id = FlatTimingGraph::Id;
-  const std::string& name = netlist.net(static_cast<int>(n)).name;
   double load = 0.0;
-  if (parasitics.contains(name)) {
-    RcTree tree = parasitics.net(name);
+  if (const RcTree* found =
+          parasitics.find(netlist.net(static_cast<int>(n)).name)) {
+    RcTree tree = *found;
     const Id net = static_cast<Id>(n);
     for (Id f = graph.fanout_begin(net); f < graph.fanout_end(net); ++f) {
       const double pin_cap = graph.cell_type(graph.fanout_pos(f))

@@ -57,8 +57,8 @@ StatisticalSta::Result StatisticalSta::run(
   std::vector<double> load(netlist.num_nets(), 0.0);
   exec.parallel_for(netlist.num_nets(), [&](std::size_t n) {
     const Net& net = netlist.net(static_cast<int>(n));
-    if (parasitics.contains(net.name)) {
-      RcTree tree = parasitics.net(net.name);
+    if (const RcTree* found = parasitics.find(net.name)) {
+      RcTree tree = *found;
       for (const auto& sink : net.sinks) {
         const auto& inst = netlist.cell(sink.cell);
         tree.add_cap(tree.sink_node(sink_pin_name(inst, sink.pin)),

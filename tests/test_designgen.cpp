@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+
+#include "sta/annotate.hpp"
+#include "sta/engine.hpp"
+#include "synthetic_charlib.hpp"
 
 namespace nsdc {
 namespace {
@@ -147,6 +153,28 @@ TEST_F(DesignGenTest, InsertBuffersPreservesPortCounts) {
   EXPECT_EQ(nl.primary_outputs().size(), pos);
 }
 
+TEST_F(DesignGenTest, LaterBufferPassesGetFreshNames) {
+  // 100 sinks on one PI: the first pass splits them over 13 buffers, so
+  // the PI still drives 13 > 8 sinks and a second pass re-buffers it.
+  GateNetlist nl("fan100");
+  const int a = nl.add_primary_input("a");
+  for (int i = 0; i < 100; ++i) {
+    const int g = nl.add_cell("u" + std::to_string(i), lib.by_name("INVx1"),
+                              {a}, "y" + std::to_string(i));
+    nl.mark_primary_output(nl.cell(g).out_net);
+  }
+  finalize_design(nl, lib, tech);
+  EXPECT_TRUE(nl.duplicate_nets().empty());
+  EXPECT_GE(nl.find_net("a_buf12"), 0);  // first-pass names are kept
+  EXPECT_GE(nl.find_net("a_buf1_1"), 0);
+  EXPECT_EQ(nl.net(nl.find_net("a")).sinks.size(), 2u);
+
+  const CharLib charlib = testfix::make_full_charlib();
+  const NSigmaCellModel model = NSigmaCellModel::fit(charlib);
+  const StaEngine engine(model, tech);
+  EXPECT_NO_THROW(engine.run(nl, generate_parasitics(nl, tech)));
+}
+
 TEST_F(DesignGenTest, SizeCellsUpsIzesLoadedGates) {
   GateNetlist nl("sz");
   const int a = nl.add_primary_input("a");
@@ -189,6 +217,50 @@ TEST_P(AdderWidthSweep, CellCountFormula) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, AdderWidthSweep, ::testing::Values(1, 4, 16, 32));
+
+/// Every generator in designgen.hpp, at a small size.
+GateNetlist small_design(const std::string& generator, const CellLibrary& lib) {
+  if (generator == "random_mapped") {
+    RandomNetlistSpec spec;
+    spec.target_cells = 300;
+    spec.num_primary_inputs = 12;
+    spec.target_depth = 12;
+    return generate_random_mapped(spec, lib);
+  }
+  if (generator == "iscas_like") return generate_iscas_like("C432", lib);
+  if (generator == "ripple_adder") return generate_ripple_adder(8, lib);
+  if (generator == "subtractor") return generate_subtractor(8, lib);
+  if (generator == "array_multiplier") return generate_array_multiplier(6, lib);
+  if (generator == "array_divider") return generate_array_divider(12, lib);
+  if (generator == "tiled_multiplier_array") {
+    return generate_tiled_multiplier_array(4, 3, lib);
+  }
+  if (generator == "wide_crossbar") return generate_wide_crossbar(8, 4, lib);
+  if (generator == "divider_chain") return generate_divider_chain(4, 4, lib);
+  throw std::invalid_argument("unknown generator " + generator);
+}
+
+class DesignGenNames : public ::testing::TestWithParam<std::string> {};
+
+// Net names key the parasitics: a duplicate makes its nets share one RC
+// tree and parasitics-on STA fails on the first sink it cannot find.
+TEST_P(DesignGenNames, NoDuplicateNetNames) {
+  const CellLibrary lib = CellLibrary::standard();
+  const GateNetlist nl = small_design(GetParam(), lib);
+  EXPECT_TRUE(nl.duplicate_nets().empty())
+      << nl.duplicate_nets().size() << " duplicates, first '"
+      << nl.net(nl.duplicate_nets().front()).name << "'";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllGenerators, DesignGenNames,
+    ::testing::Values("random_mapped", "iscas_like", "ripple_adder",
+                      "subtractor", "array_multiplier", "array_divider",
+                      "tiled_multiplier_array", "wide_crossbar",
+                      "divider_chain"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 }  // namespace
 }  // namespace nsdc

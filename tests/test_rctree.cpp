@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <numbers>
+#include <vector>
+
+#include "parasitics/spef.hpp"
 
 namespace nsdc {
 namespace {
@@ -107,6 +114,9 @@ TEST(RcTree, Validation) {
   EXPECT_THROW(t.add_node(5, 1.0, 0.0), std::out_of_range);
   EXPECT_THROW(t.add_node(0, -1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(t.mark_sink(0, "root"), std::out_of_range);
+  EXPECT_THROW(t.elmore(1), std::out_of_range);
+  EXPECT_THROW(t.elmore(-1), std::out_of_range);
+  EXPECT_THROW(t.second_moment(1), std::out_of_range);
 }
 
 TEST(RcTree, BuildSpiceStructure) {
@@ -119,6 +129,148 @@ TEST(RcTree, BuildSpiceStructure) {
   EXPECT_EQ(ckt.resistors().size(), 2u);
   EXPECT_EQ(ckt.capacitors().size(), 2u);
   EXPECT_DOUBLE_EQ(ckt.initial_voltage(ids[2]), 0.6);
+}
+
+// ------------------------------------------------- bit-level oracle ----
+
+/// The quadratic walk elmore() used before its index-order sweep, kept as
+/// the oracle the sweep must match bit for bit. R_common(a, b) walks b's
+/// root path upward and adds every edge a's root path shares, so each sum
+/// starts at LCA(a, b) and runs up to the root.
+class QuadraticWalk {
+ public:
+  explicit QuadraticWalk(const RcTree& t)
+      : t_(t), m1_(static_cast<std::size_t>(t.num_nodes())) {
+    for (int node = 0; node < t.num_nodes(); ++node) {
+      const std::vector<char> on_path = root_path(node);
+      double m1 = 0.0;
+      for (int k = 1; k < t.num_nodes(); ++k) {
+        m1 += common_resistance(on_path, k) * t.node_cap(k);
+      }
+      m1_[static_cast<std::size_t>(node)] = m1;
+    }
+  }
+
+  double elmore(int node) const { return m1_[static_cast<std::size_t>(node)]; }
+
+  double second_moment(int node) const {
+    const std::vector<char> on_path = root_path(node);
+    double m2 = 0.0;
+    for (int k = 1; k < t_.num_nodes(); ++k) {
+      m2 += common_resistance(on_path, k) * t_.node_cap(k) *
+            m1_[static_cast<std::size_t>(k)];
+    }
+    return m2;
+  }
+
+ private:
+  std::vector<char> root_path(int node) const {
+    std::vector<char> on(static_cast<std::size_t>(t_.num_nodes()), 0);
+    for (int n = node; n > 0; n = t_.parent(n)) {
+      on[static_cast<std::size_t>(n)] = 1;
+    }
+    return on;
+  }
+
+  double common_resistance(const std::vector<char>& on_path_a, int b) const {
+    double r = 0.0;
+    for (int n = b; n > 0; n = t_.parent(n)) {
+      if (on_path_a[static_cast<std::size_t>(n)]) r += t_.edge_res(n);
+    }
+    return r;
+  }
+
+  const RcTree& t_;
+  std::vector<double> m1_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Values of elmore, second_moment and d2m, over every node, whose bits
+/// differ from the quadratic walk's (d2m from the walk's m1 and m2).
+int sweep_mismatches(const RcTree& t) {
+  const QuadraticWalk walk(t);
+  int bad = 0;
+  for (int node = 0; node < t.num_nodes(); ++node) {
+    const double m1 = walk.elmore(node);
+    const double m2 = walk.second_moment(node);
+    const double d2m = m2 <= 0.0 ? m1 * std::numbers::ln2
+                                 : std::numbers::ln2 * m1 * m1 / std::sqrt(m2);
+    bad += same_bits(t.elmore(node), m1) ? 0 : 1;
+    bad += same_bits(t.second_moment(node), m2) ? 0 : 1;
+    bad += same_bits(t.d2m(node), d2m) ? 0 : 1;
+  }
+  return bad;
+}
+
+/// Seeded random tree with parent < child: half the seeds draw parents
+/// uniformly below the child (bushy), half from the last few nodes (deep).
+/// About one R and one C in six is exactly zero, and some nodes get an
+/// extra pin cap the way annotation adds one.
+RcTree random_tree(std::uint64_t seed, int nodes) {
+  Rng rng(seed);
+  RcTree t;
+  const bool deep = rng.uniform() < 0.5;
+  for (int k = 1; k < nodes; ++k) {
+    const std::int64_t lo = deep ? std::max(0, k - 3) : 0;
+    const int parent = static_cast<int>(rng.uniform_int(lo, k - 1));
+    const double r = rng.uniform() < 0.15 ? 0.0 : rng.uniform(1.0, 500.0);
+    const double c = rng.uniform() < 0.15 ? 0.0 : rng.uniform(0.1e-15, 5e-15);
+    t.add_node(parent, r, c);
+    if (rng.uniform() < 0.2) t.add_cap(k, rng.uniform(0.5e-15, 2e-15));
+  }
+  if (rng.uniform() < 0.5) t.add_cap(0, 0.3e-15);
+  return t;
+}
+
+TEST(RcTreeSweep, MatchesQuadraticWalkOnRandomTrees) {
+  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
+    const int nodes = 1 + static_cast<int>((seed * 37) % 160);
+    EXPECT_EQ(sweep_mismatches(random_tree(seed, nodes)), 0)
+        << "seed " << seed << ", " << nodes << " nodes";
+  }
+}
+
+TEST(RcTreeSweep, MatchesQuadraticWalkOnRootOnlyTree) {
+  const RcTree t;
+  EXPECT_EQ(sweep_mismatches(t), 0);
+  EXPECT_EQ(t.elmore(0), 0.0);
+}
+
+TEST(RcTreeSweep, MatchesQuadraticWalkOnLongChainAndWideStar) {
+  Rng rng(11);
+  RcTree chain;  // 700 nodes, one sink at the far end
+  int node = 0;
+  for (int i = 1; i < 700; ++i) {
+    node = chain.add_node(node, rng.uniform(1.0, 50.0),
+                          rng.uniform(0.1e-15, 1e-15));
+  }
+  chain.mark_sink(node, "Z");
+  EXPECT_EQ(sweep_mismatches(chain), 0);
+
+  RcTree star;  // a trunk edge, then 700 sinks on one hub
+  const int hub = star.add_node(0, 80.0, 1e-15);
+  for (int i = 0; i < 700; ++i) {
+    const int leaf =
+        star.add_node(hub, rng.uniform(5.0, 60.0), rng.uniform(0.2e-15, 2e-15));
+    star.mark_sink(leaf, "u" + std::to_string(i) + ":0");
+  }
+  EXPECT_EQ(sweep_mismatches(star), 0);
+}
+
+TEST(RcTreeSweep, MatchesQuadraticWalkAfterSpefRoundTrip) {
+  ParasiticDb db;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    db.add("n" + std::to_string(seed),
+           random_tree(seed + 1000, 2 + static_cast<int>(seed * 7)));
+  }
+  const ParasiticDb back = ParasiticDb::from_spef(db.to_spef("d"));
+  ASSERT_EQ(back.size(), db.size());
+  for (const auto& [name, tree] : back.all()) {
+    EXPECT_EQ(sweep_mismatches(tree), 0) << name;
+  }
 }
 
 }  // namespace

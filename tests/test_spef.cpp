@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace nsdc {
 namespace {
 
@@ -51,6 +54,7 @@ TEST(Spef, MissingNetThrows) {
   ParasiticDb db;
   EXPECT_THROW(db.net("nope"), std::out_of_range);
   EXPECT_FALSE(db.contains("nope"));
+  EXPECT_EQ(db.find("nope"), nullptr);
 }
 
 TEST(Spef, ParseErrorsCarryLineInfo) {
@@ -62,6 +66,48 @@ TEST(Spef, ParseErrorsCarryLineInfo) {
   EXPECT_THROW(
       ParasiticDb::from_spef("*SPEF nsdc-lite 1\n*D_NET x 0\n*NODES 1\n"),
       std::runtime_error);
+}
+
+// RcTree::elmore sweeps nodes in index order and needs every parent
+// below its child; the parser must refuse any other node order.
+constexpr const char* kNodeOutOfOrder =
+    "*SPEF nsdc-lite 1\n*D_NET n1 0\n*NODES 3\n"
+    "2 0 10 1e-15\n"  // line 4: node 2 before node 1
+    "1 0 10 1e-15\n*SINKS\nu1:0 1\n*END\n";
+constexpr const char* kParentNotBelowChild =
+    "*SPEF nsdc-lite 1\n*D_NET n1 0\n*NODES 3\n"
+    "1 0 10 1e-15\n"
+    "2 2 10 1e-15\n"  // line 5: node 2 is its own parent
+    "*SINKS\nu1:0 1\n*END\n";
+constexpr const char* kParentAboveChild =
+    "*SPEF nsdc-lite 1\n*D_NET n1 0\n*NODES 3\n"
+    "1 0 10 1e-15\n"
+    "2 3 10 1e-15\n"  // line 5: parent index above the node's own
+    "*SINKS\nu1:0 1\n*END\n";
+
+TEST(Spef, NodeOrderViolationsThrowWithoutDiagnosticsSink) {
+  for (const char* text :
+       {kNodeOutOfOrder, kParentNotBelowChild, kParentAboveChild}) {
+    EXPECT_THROW(ParasiticDb::from_spef(text), std::runtime_error) << text;
+  }
+}
+
+TEST(Spef, NodeOrderViolationsBecomeDiagnosticsAndAreSkipped) {
+  const std::pair<const char*, int> cases[] = {
+      {kNodeOutOfOrder, 4}, {kParentNotBelowChild, 5}, {kParentAboveChild, 5}};
+  for (const auto& [text, line] : cases) {
+    std::vector<Diagnostic> diags;
+    const ParasiticDb db = ParasiticDb::from_spef(text, &diags);
+    ASSERT_EQ(diags.size(), 1u) << text;
+    EXPECT_EQ(diags[0].rule, "parse.spef");
+    EXPECT_EQ(diags[0].severity, Severity::kError);
+    EXPECT_EQ(diags[0].line, line);
+    // The offending node line is gone; the rest of the net survives.
+    const RcTree* tree = db.find("n1");
+    ASSERT_NE(tree, nullptr);
+    EXPECT_EQ(tree->num_nodes(), 2);
+    EXPECT_EQ(tree->sink_node("u1:0"), 1);
+  }
 }
 
 TEST(Spef, SaveLoadFile) {
