@@ -58,6 +58,7 @@
 #include "sta/incremental.hpp"
 #include "sta/netmc.hpp"
 #include "sta/ssta_analytic.hpp"
+#include "reference_sta.hpp"
 #include "stats/regression.hpp"
 #include "synthetic_charlib.hpp"
 #include "util/rng.hpp"
@@ -805,15 +806,17 @@ std::size_t heap_bytes_now() {
 }
 
 /// Million-cell-scale throughput/memory gate for the compiled SoA timing
-/// graph: legacy GateNetlist-walking STA versus the FlatTimingGraph path
-/// on ~100k / ~300k / ~1M-cell generated designs. Records compile rate,
-/// nominal-STA cells/sec on both paths, bytes/cell (flat arena accounting
-/// plus mallinfo2 deltas for both representations), and verifies the flat
-/// results byte-identical to legacy at 1 and 4 lanes. Fails (exit 1) when
-/// the flat path is not >= 1.3x legacy throughput on the largest design.
-/// A parasitics-on row times the end-to-end StaEngine::run with RC trees
-/// on the ~100k-cell design against the same call without them (the
-/// on/off ratio), with the same identity checks. The JSON record lands in
+/// graph: StaEngine on the FlatTimingGraph versus the "legacy" column, a
+/// full pass built from the sta_kernel edit kernel over the GateNetlist
+/// (testfix::reference_sta_run), on ~100k / ~300k / ~1M-cell generated
+/// designs. Records compile rate, nominal-STA cells/sec on both walks,
+/// bytes/cell (flat arena accounting plus mallinfo2 deltas for both
+/// representations), and verifies the flat results byte-identical to the
+/// kernel walk at 1 and 4 lanes. Fails (exit 1) when the flat path is not
+/// >= 1.3x the kernel walk's throughput on the largest design. A
+/// parasitics-on row times the end-to-end StaEngine::run with RC trees on
+/// the ~100k-cell design against the same call without them (the on/off
+/// ratio), with the same identity checks. The JSON record lands in
 /// flatgraph_perf.json.
 int run_flatgraph_sweep(const std::string& json_path) {
   using clock = std::chrono::steady_clock;
@@ -901,13 +904,13 @@ int run_flatgraph_sweep(const std::string& json_path) {
       StaConfig cfg;
       cfg.exec.threads = threads;
       cfg.min_parallel_cells = threads > 1 ? 1 : netlist.num_cells() + 1;
-      cfg.use_flatgraph = false;  // legacy path; flat runs use the overload
       const StaEngine engine(model, tech, cfg);
       double best = 1e300;
       for (int rep = 0; rep < 2; ++rep) {
         const auto t0 = clock::now();
         auto res = flat ? engine.run(graph, netlist, parasitics)
-                        : engine.run(netlist, parasitics);
+                        : testfix::reference_sta_run(netlist, parasitics,
+                                                     model, tech, cfg);
         best = std::min(best, std::chrono::duration<double>(
                                   clock::now() - t0).count());
         if (out) *out = std::move(res);
@@ -969,9 +972,9 @@ int run_flatgraph_sweep(const std::string& json_path) {
 
   // Parasitics-on row: the end-to-end StaEngine::run(netlist, parasitics)
   // (compile, annotate, bind, propagate) on the ~100k-cell TMUL with
-  // generate_parasitics trees, flat and legacy at 1 and 4 lanes, next to
-  // the same call without parasitics. Recorded, not gated: annotate still
-  // copies every tree per run and resolves sinks by name.
+  // generate_parasitics trees, and the sta_kernel walk, at 1 and 4 lanes,
+  // next to the same call without parasitics. Recorded, not gated:
+  // annotate still copies every tree per run and resolves sinks by name.
   {
     const GateNetlist netlist = sized("mul", 100000);
     const ParasiticDb parasitics = generate_parasitics(netlist, tech);
@@ -988,12 +991,12 @@ int run_flatgraph_sweep(const std::string& json_path) {
       StaConfig cfg;
       cfg.exec.threads = threads;
       cfg.min_parallel_cells = threads > 1 ? 1 : netlist.num_cells() + 1;
-      cfg.use_flatgraph = flat;
       const StaEngine engine(model, tech, cfg);
       double best = 1e300;
       for (int rep = 0; rep < 2; ++rep) {
         const auto t0 = clock::now();
-        out = engine.run(netlist, db);
+        out = flat ? engine.run(netlist, db)
+                   : testfix::reference_sta_run(netlist, db, model, tech, cfg);
         best = std::min(best, std::chrono::duration<double>(
                                   clock::now() - t0).count());
       }
@@ -1036,7 +1039,7 @@ int run_flatgraph_sweep(const std::string& json_path) {
   std::cerr << "[flatgraph-sweep] wrote " << json_path << "\n";
   if (!all_identical) {
     std::cerr << "[flatgraph-sweep] ERROR: flat result diverged from the "
-                 "legacy engine\n";
+                 "sta_kernel walk\n";
     return 1;
   }
   if (largest_speedup < 1.3) {

@@ -82,10 +82,6 @@ struct AnalysisOptions {
   double variation_scale = 1.0;
   /// Cornish-Fisher-shaped cell draws, matched to the engines.
   bool moment_shaping = true;
-  /// Run interval propagation over the compiled FlatTimingGraph (SoA
-  /// layout + per-arc records). Byte-identical to the legacy walk; false
-  /// forces the legacy GateNetlist path (equivalence tests).
-  bool use_flatgraph = true;
   /// Relative width of the near-boundary band (fraction of each table
   /// axis range) that the domain audit reports as a break-point hazard.
   double domain_epsilon = 0.05;

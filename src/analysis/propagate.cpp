@@ -1,13 +1,13 @@
 // Monotone interval propagation (pass "analysis.intervals"). Mirrors the
-// propagation structure of sta_kernel::propagate_cell and the arc
-// construction of NetlistMonteCarlo exactly — same edge/in_rising
-// semantics, same reachability rules, same frozen loads, same Eq. 7 wire
-// term with the "INVx4" PI-driver fallback — but carries [lo, hi]
-// intervals instead of scalars. Soundness of each per-arc enclosure lives
-// in interval.hpp; soundness of the fold is monotonicity: both interval
-// addition and the interval max preserve lower AND upper bounds, so the
-// per-net result bounds every engine arrival produced from draws with
-// |z| <= z_max.
+// propagation structure of flat_kernel::flat_propagate_cell and the arc
+// construction of NetlistMonteCarlo exactly — same compiled graph and
+// bound per-arc records, same edge/in_rising semantics, same reachability
+// rules, same frozen loads, same Eq. 7 wire term with the "INVx4"
+// PI-driver fallback — but carries [lo, hi] intervals instead of scalars.
+// Soundness of each per-arc enclosure lives in interval.hpp; soundness of
+// the fold is monotonicity: both interval addition and the interval max
+// preserve lower AND upper bounds, so the per-net result bounds every
+// engine arrival produced from draws with |z| <= z_max.
 //
 // Determinism: levelized with a barrier between levels; each cell writes
 // only its own output-net slot and reads only lower-level slots, so the
@@ -15,12 +15,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <stdexcept>
 
 #include "analysis/analysis.hpp"
 #include "netlist/flatgraph.hpp"
-#include "sta/annotate.hpp"
 #include "sta/flatsta.hpp"
 #include "util/faultinject.hpp"
 
@@ -45,89 +43,17 @@ Interval arc_delay_range(const CellArcModel& arc, const Interval& slew_iv,
       analysis::cell_stat_range(mi, options.z_max, options.moment_shaping));
 }
 
-void propagate_one_cell(const GateNetlist& netlist,
-                        const AnalysisInput& input,
+/// Interval propagation of the cell at `pos`: per-arc charlib handles,
+/// Elmore and raw X_w come from the bound records.
+void propagate_one_cell(const FlatTimingGraph& graph,
+                        const FlatArcRecords& rec, const AnalysisInput& input,
                         const AnalysisOptions& options,
-                        const StaEngine::Result& annotated, int c,
-                        double scale, IntervalResult& out) {
-  const CellInst& inst = netlist.cell(c);
-  const auto outn = static_cast<std::size_t>(inst.out_net);
-  NetBounds nb;  // reset slot, like propagate_cell
-
-  const double load = annotated.net_load[outn];
-  const bool inverting = inst.type->inverting();
-  for (int edge = 0; edge < 2; ++edge) {  // 0: output rises
-    const bool out_rising = edge == 0;
-    const bool in_rising = inverting ? !out_rising : out_rising;
-    const int in_edge = in_rising ? 0 : 1;
-    bool any = false;
-    Interval best_arr, slew_hull;
-    for (std::size_t pin = 0; pin < inst.fanin_nets.size(); ++pin) {
-      if (inst.fanin_nets[pin] < 0) continue;  // unconnected pin
-      const auto fan = static_cast<std::size_t>(inst.fanin_nets[pin]);
-      const NetBounds& fb = out.nets[fan];
-      if (!fb.reachable) continue;
-
-      Interval wire = Interval::point(0.0);
-      const RcTree& tree = annotated.annotated[fan];
-      if (tree.num_nodes() > 1) {
-        const double elm = tree.elmore(
-            tree.sink_node(sink_pin_name(inst, static_cast<int>(pin))));
-        const int drv = netlist.net(static_cast<int>(fan)).driver_cell;
-        const std::string drv_name =
-            drv >= 0 ? netlist.cell(drv).type->name() : "INVx4";
-        const double xw =
-            input.wire_model->xw(drv_name, inst.type->name()) * scale;
-        wire = analysis::wire_range(elm, xw, options.z_max);
-      }
-
-      const CellArcModel& arc = input.cell_model->arc(
-          inst.type->name(), static_cast<int>(pin), in_rising);
-      const Interval slew_iv = fb.slew[static_cast<std::size_t>(in_edge)];
-      const Interval cand = analysis::iv_add(
-          fb.arrival[static_cast<std::size_t>(in_edge)],
-          analysis::iv_add(wire,
-                           arc_delay_range(arc, slew_iv, load, scale,
-                                           options)));
-      // The winning arc depends on the engine (nominal picks the worst
-      // mean; a sample picks the worst draw), so the arrival fold is the
-      // interval max over arcs and the slew bound is the hull over arcs —
-      // whichever arc wins, its output slew lies inside the hull.
-      const Interval os =
-          analysis::grid_range_x(arc.mean_out_slew, slew_iv, load);
-      best_arr = any ? analysis::iv_max(best_arr, cand) : cand;
-      slew_hull = any ? analysis::iv_hull(slew_hull, os) : os;
-      any = true;
-    }
-    if (!any) continue;  // edge unreachable: slot keeps the defaults
-    nb.reachable = true;
-    nb.arrival[static_cast<std::size_t>(edge)] = best_arr;
-    nb.slew[static_cast<std::size_t>(edge)] = slew_hull;
-  }
-
-  // Fault site: NSDC_FAULTS="analyze.interval@<net>=nan" collapses this
-  // net's certified bounds to the degenerate [0, 0] — downstream engines
-  // keep their true arrivals, so the verify-engines gate provably fires.
-  if (fault_fire("analyze.interval", outn, options.exec.cancel) ==
-      FaultAction::kNan) {
-    nb.arrival = {Interval{0.0, 0.0}, Interval{0.0, 0.0}};
-  }
-  out.nets[outn] = nb;
-}
-
-/// propagate_one_cell on the flat graph: per-arc charlib handles, Elmore
-/// and raw X_w come from the bound records; the interval math is the
-/// exact sequence above, so the certified bounds are byte-identical.
-void flat_propagate_one_cell(const FlatTimingGraph& graph,
-                             const FlatArcRecords& rec,
-                             const AnalysisInput& input,
-                             const AnalysisOptions& options,
-                             const StaEngine::Result& annotated,
-                             FlatTimingGraph::Id pos, double scale,
-                             IntervalResult& out) {
+                        const StaEngine::Result& annotated,
+                        FlatTimingGraph::Id pos, double scale,
+                        IntervalResult& out) {
   using Id = FlatTimingGraph::Id;
   const auto outn = static_cast<std::size_t>(graph.cell_out_net(pos));
-  NetBounds nb;  // reset slot, like propagate_cell
+  NetBounds nb;  // reset slot, like flat_propagate_cell
 
   const double load = annotated.net_load[outn];
   const bool inverting = graph.inverting(pos);
@@ -164,6 +90,10 @@ void flat_propagate_one_cell(const FlatTimingGraph& graph,
           analysis::iv_add(wire,
                            arc_delay_range(arc, slew_iv, load, scale,
                                            options)));
+      // The winning arc depends on the engine (nominal picks the worst
+      // mean; a sample picks the worst draw), so the arrival fold is the
+      // interval max over arcs and the slew bound is the hull over arcs —
+      // whichever arc wins, its output slew lies inside the hull.
       const Interval os =
           analysis::grid_range_x(arc.mean_out_slew, slew_iv, load);
       best_arr = any ? analysis::iv_max(best_arr, cand) : cand;
@@ -176,6 +106,9 @@ void flat_propagate_one_cell(const FlatTimingGraph& graph,
     nb.slew[static_cast<std::size_t>(edge)] = slew_hull;
   }
 
+  // Fault site: NSDC_FAULTS="analyze.interval@<net>=nan" collapses this
+  // net's certified bounds to the degenerate [0, 0] — downstream engines
+  // keep their true arrivals, so the verify-engines gate provably fires.
   if (fault_fire("analyze.interval", outn, options.exec.cancel) ==
       FaultAction::kNan) {
     nb.arrival = {Interval{0.0, 0.0}, Interval{0.0, 0.0}};
@@ -199,8 +132,11 @@ IntervalResult propagate_intervals(const AnalysisInput& input,
 
   IntervalResult out;
   out.nets.assign(nl.num_nets(), NetBounds{});
-  const auto& lev = nl.levelization();  // throws on a combinational cycle
-  out.levels = lev.levels.size();
+  using Id = FlatTimingGraph::Id;
+  // Throws on a combinational cycle, like GateNetlist::levelization.
+  const FlatTimingGraph graph =
+      FlatTimingGraph::compile(nl, options.exec.cancel);
+  out.levels = graph.num_levels();
 
   for (int pi : nl.primary_inputs()) {
     auto& nb = out.nets[static_cast<std::size_t>(pi)];
@@ -210,33 +146,17 @@ IntervalResult propagate_intervals(const AnalysisInput& input,
   }
 
   const double scale = std::max(options.variation_scale, 0.0);
-  if (options.use_flatgraph) {
-    // Flat walk: same per-cell math over the compiled SoA graph with
-    // bound per-arc records (handles, Elmore, X_w).
-    using Id = FlatTimingGraph::Id;
-    const FlatTimingGraph graph =
-        FlatTimingGraph::compile(nl, options.exec.cancel);
-    FlatArcRecords rec;
-    flat_kernel::bind_arc_records(graph, *input.cell_model, annotated,
-                                  options.exec, rec);
-    flat_kernel::bind_wire_xw(graph, *input.wire_model, rec);
-    for (Id l = 0; l < graph.num_levels(); ++l) {
-      options.exec.check_cancel();
-      const Id begin = graph.level_begin(l);
-      options.exec.parallel_for(graph.level_end(l) - begin,
-                                [&](std::size_t i) {
-        flat_propagate_one_cell(graph, rec, input, options, annotated,
-                                begin + static_cast<Id>(i), scale, out);
-      });
-    }
-  } else {
-    for (const auto& level : lev.levels) {
-      options.exec.check_cancel();
-      options.exec.parallel_for(level.size(), [&](std::size_t i) {
-        propagate_one_cell(nl, input, options, annotated, level[i], scale,
-                           out);
-      });
-    }
+  FlatArcRecords rec;
+  flat_kernel::bind_arc_records(graph, *input.cell_model, annotated,
+                                options.exec, rec);
+  flat_kernel::bind_wire_xw(graph, *input.wire_model, rec);
+  for (Id l = 0; l < graph.num_levels(); ++l) {
+    options.exec.check_cancel();
+    const Id begin = graph.level_begin(l);
+    options.exec.parallel_for(graph.level_end(l) - begin, [&](std::size_t i) {
+      propagate_one_cell(graph, rec, input, options, annotated,
+                         begin + static_cast<Id>(i), scale, out);
+    });
   }
 
   // Reachable primary outputs, ascending net id; worst-edge bounds.

@@ -581,7 +581,7 @@ void Coordinator::merge() {
       nt.slew = result_.po_slew[i];
     }
     try {
-      sta_kernel::select_critical(nl, res);
+      sta_kernel::select_critical(nl.primary_outputs(), nl.name(), res);
       result_.max_arrival = res.max_arrival;
       result_.critical_net = res.critical_net;
       result_.critical_edge = res.critical_edge;

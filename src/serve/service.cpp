@@ -1,11 +1,15 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <exception>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/mcconfig.hpp"
 #include "lint/lint.hpp"
+#include "sta/annotate.hpp"
 #include "sta/netmc.hpp"
 #include "util/argparse.hpp"
 #include "util/cancel.hpp"
@@ -375,15 +379,50 @@ std::string Service::do_session_edit(int conn, const RequestHeader& h,
   }
   require_clean_body(r, "session-edit");
 
+  const auto apply = [&](GateNetlist& target) {
+    for (const Edit& e : edits) {
+      token.throw_if_cancelled();
+      if (e.op == EditOp::kSetCellType) {
+        target.set_cell_type(static_cast<int>(e.cell), *e.type);
+      } else {
+        target.rewire_fanin(static_cast<int>(e.cell), static_cast<int>(e.pin),
+                            static_cast<int>(e.net));
+      }
+    }
+  };
+
+  // A rewire must leave the session timeable, or the edit would stay in
+  // the journal and fail every later update. Annotation finds a pin in
+  // its new net's RC tree by "<inst>:<pin>", so a tree must hold that
+  // sink; and the edited netlist must stay acyclic, which a scratch copy
+  // of the batch proves. Retype-only batches cannot break either.
+  bool rewires = false;
   for (const Edit& e : edits) {
-    token.throw_if_cancelled();
-    if (e.op == EditOp::kSetCellType) {
-      nl.set_cell_type(static_cast<int>(e.cell), *e.type);
-    } else {
-      nl.rewire_fanin(static_cast<int>(e.cell), static_cast<int>(e.pin),
-                      static_cast<int>(e.net));
+    if (e.op != EditOp::kRewireFanin) continue;
+    rewires = true;
+    const Net& net = nl.net(static_cast<int>(e.net));
+    const RcTree* tree = refs_.parasitics->find(net.name);
+    if (tree == nullptr) continue;
+    const std::string pin = sink_pin_name(nl.cell(static_cast<int>(e.cell)),
+                                          static_cast<int>(e.pin));
+    if (std::none_of(tree->sinks().begin(), tree->sinks().end(),
+                     [&](const RcTree::Sink& s) { return s.pin == pin; })) {
+      throw UsageError("rewire onto net '" + net.name +
+                       "': its RC tree has no sink '" + pin + "'");
     }
   }
+  if (rewires) {
+    GateNetlist trial = nl;
+    apply(trial);
+    try {
+      trial.levelization();
+    } catch (const std::runtime_error& ex) {
+      throw UsageError(std::string("session-edit batch rejected: ") +
+                       ex.what());
+    }
+  }
+
+  apply(nl);
   token.throw_if_cancelled();
   const StaEngine::Result& res = session.incr->update();
   const auto& stats = session.incr->last_stats();

@@ -83,78 +83,13 @@ void propagate_cell(const GateNetlist& netlist, const NSigmaCellModel& model,
   }
 }
 
-void select_critical(const GateNetlist& netlist, StaEngine::Result& res) {
-  res.max_arrival = 0.0;
-  res.critical_net = -1;
-  res.critical_edge = 0;
-  for (int po : netlist.primary_outputs()) {
-    const auto& nt = res.nets[static_cast<std::size_t>(po)];
-    if (!nt.reachable) continue;
-    for (int edge = 0; edge < 2; ++edge) {
-      const double arr = nt.arrival[static_cast<std::size_t>(edge)];
-      if (arr > res.max_arrival) {
-        res.max_arrival = arr;
-        res.critical_net = po;
-        res.critical_edge = edge;
-      }
-    }
-  }
-  if (res.critical_net < 0) {
-    throw std::runtime_error("StaEngine: no reachable primary output in " +
-                             netlist.name());
-  }
-}
-
 }  // namespace sta_kernel
 
 StaEngine::Result StaEngine::run(const GateNetlist& netlist,
                                  const ParasiticDb& parasitics) const {
-  if (config_.use_flatgraph) {
-    // Compile-and-run on the SoA graph (flatsta.cpp); byte-identical.
-    const FlatTimingGraph graph =
-        FlatTimingGraph::compile(netlist, config_.exec.cancel);
-    return run(graph, netlist, parasitics);
-  }
-  Result res;
-  res.nets.resize(netlist.num_nets());
-  res.annotated.resize(netlist.num_nets());
-  res.net_load.assign(netlist.num_nets(), 0.0);
-
-  // Levelize up front (also detects cycles before any parallel region).
-  const auto& lev = netlist.levelization();
-  const bool parallel = config_.parallel_for_size(netlist.num_cells());
-  // One lane when serial: ExecContext::parallel_for then runs the loop
-  // inline on the calling thread, so both modes share one code path.
-  const ExecContext exec =
-      parallel ? config_.exec : config_.exec.with_threads(1);
-
-  // Annotate: copy each tree and add receiver pin caps at its sinks; the
-  // total cap is what the driving cell sees. Nets are independent.
-  exec.parallel_for(netlist.num_nets(), [&](std::size_t n) {
-    sta_kernel::annotate_net(netlist, parasitics, tech_, n, res);
-  });
-
-  // Primary inputs: both edges arrive at t=0 with the reference slew.
-  for (int pi : netlist.primary_inputs()) {
-    auto& nt = res.nets[static_cast<std::size_t>(pi)];
-    nt.reachable = true;
-    nt.arrival = {0.0, 0.0};
-    nt.slew = {10e-12, 10e-12};
-  }
-
-  // Each cell reads only fanin slots (strictly lower levels) and writes
-  // only its own output-net slot, so cells within a level run in parallel.
-  for (const auto& level : lev.levels) {
-    // Autotuned grain: one queue transaction per block of cells instead of
-    // per cell — wide levels stop serializing on the pool's global queue.
-    exec.parallel_for_autotuned(level.size(), [&](std::size_t i) {
-      sta_kernel::propagate_cell(netlist, model_, level[i], res);
-    });
-  }
-
-  // Worst primary-output arrival.
-  sta_kernel::select_critical(netlist, res);
-  return res;
+  const FlatTimingGraph graph =
+      FlatTimingGraph::compile(netlist, config_.exec.cancel);
+  return run(graph, netlist, parasitics);
 }
 
 namespace {

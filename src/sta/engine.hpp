@@ -13,6 +13,8 @@
 // StaConfig::min_parallel_cells stay on the serial path (fork-join
 // overhead dominates on small graphs).
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/nsigma_cell.hpp"
@@ -31,11 +33,6 @@ struct StaConfig {
   ExecContext exec{};
   /// Below this many cells the engine runs serially on the calling thread.
   std::size_t min_parallel_cells = 2048;
-  /// Run the hot paths on the compiled FlatTimingGraph (SoA layout, see
-  /// flatsta.hpp). Byte-identical to the legacy GateNetlist kernels at
-  /// any thread count; false forces the legacy path (equivalence tests,
-  /// A/B benchmarking).
-  bool use_flatgraph = true;
 
   /// True when a netlist of `cells` cells should use the pool.
   bool parallel_for_size(std::size_t cells) const {
@@ -71,13 +68,15 @@ class StaEngine {
     int critical_edge = 0;  ///< 0 rise / 1 fall at the PO net
   };
 
+  /// Compiles `netlist` into a FlatTimingGraph and runs the overload
+  /// below on it.
   Result run(const GateNetlist& netlist, const ParasiticDb& parasitics) const;
 
-  /// Flat-graph run on a pre-compiled graph (implemented in flatsta.cpp).
-  /// Byte-identical to the legacy path. Throws std::invalid_argument when
-  /// the graph is stale (source_generation() != netlist.generation()).
-  /// When `keep_records` is non-null the bound per-arc records (charlib
-  /// handles, Elmore) are returned for reuse by downstream engines.
+  /// Full pass on a pre-compiled graph (implemented in flatsta.cpp).
+  /// Throws std::invalid_argument when the graph is stale
+  /// (source_generation() != netlist.generation()). When `keep_records` is
+  /// non-null the bound per-arc records (charlib handles, Elmore) are
+  /// returned for reuse by downstream engines.
   Result run(const FlatTimingGraph& graph, const GateNetlist& netlist,
              const ParasiticDb& parasitics,
              FlatArcRecords* keep_records = nullptr) const;
@@ -98,10 +97,15 @@ class StaEngine {
   StaConfig config_{};
 };
 
-/// Shared propagation kernels. The full engine and IncrementalSta both run
-/// these exact functions, which is what makes incremental re-propagation
-/// bit-identical to a from-scratch run: every slot of a Result is produced
-/// by the same floating-point operations on the same inputs either way.
+/// Edit kernels over the GateNetlist: IncrementalSta, the dist STA cone
+/// shards and the analysis annotate step time an edited netlist or a cone
+/// subset with these, without compiling a graph. The full engine runs
+/// their flat_kernel twins (flatsta.hpp), which perform the same
+/// floating-point operations in the same order on the same inputs, so
+/// every slot either walk produces is bit-identical — the property that
+/// makes incremental re-propagation equal a from-scratch run. A
+/// reference full pass built from these functions pins that equivalence
+/// in the tests.
 namespace sta_kernel {
 
 /// (Re)annotates net `n` into `res`: copies the parasitic tree, adds
@@ -117,9 +121,34 @@ void annotate_net(const GateNetlist& netlist, const ParasiticDb& parasitics,
 void propagate_cell(const GateNetlist& netlist, const NSigmaCellModel& model,
                     int c, StaEngine::Result& res);
 
-/// Scans the primary outputs into max_arrival / critical_net /
-/// critical_edge. Throws when no PO is reachable (matching run()).
-void select_critical(const GateNetlist& netlist, StaEngine::Result& res);
+/// Scans the primary-output net ids `pos`, in list order, into
+/// max_arrival / critical_net / critical_edge; the first strictly larger
+/// arrival wins. Throws when no PO is reachable. The one endpoint scan
+/// behind StaEngine::run (via flat_kernel::flat_select_critical),
+/// IncrementalSta::update and the dist STA merge.
+template <class PoList>
+void select_critical(const PoList& pos, const std::string& design,
+                     StaEngine::Result& res) {
+  res.max_arrival = 0.0;
+  res.critical_net = -1;
+  res.critical_edge = 0;
+  for (const auto po : pos) {
+    const auto& nt = res.nets[static_cast<std::size_t>(po)];
+    if (!nt.reachable) continue;
+    for (int edge = 0; edge < 2; ++edge) {
+      const double arr = nt.arrival[static_cast<std::size_t>(edge)];
+      if (arr > res.max_arrival) {
+        res.max_arrival = arr;
+        res.critical_net = static_cast<int>(po);
+        res.critical_edge = edge;
+      }
+    }
+  }
+  if (res.critical_net < 0) {
+    throw std::runtime_error("StaEngine: no reachable primary output in " +
+                             design);
+  }
+}
 
 }  // namespace sta_kernel
 

@@ -34,7 +34,7 @@ void bind_arc_records(const FlatTimingGraph& graph,
   // One resolution per distinct CellType: NSigmaCellModel ignores the pin
   // and keys by (cell name, input edge). A type absent from the model
   // resolves to nullptrs; its arcs fall back to the throwing string path
-  // only if propagation actually evaluates them (legacy behavior).
+  // only if propagation actually evaluates them (as sta_kernel does).
   std::unordered_map<const CellType*, std::array<const CellArcModel*, 2>>
       by_type;
   for (Id pos = 0; pos < graph.num_cells(); ++pos) {
@@ -63,7 +63,7 @@ void bind_arc_records(const FlatTimingGraph& graph,
       const RcTree& tree = res.annotated[fan];
       if (tree.num_nodes() > 1) {
         rec.has_tree[arc] = 1;
-        // Same call the legacy kernel makes per visit, so the stored
+        // Same call sta_kernel::propagate_cell makes per visit, so the stored
         // double is bit-identical to the recomputed one.
         rec.elmore[arc] = tree.elmore(
             tree.sink_node(graph.sink_name(graph.fanin_sink(arc))));
@@ -79,7 +79,7 @@ void bind_wire_xw(const FlatTimingGraph& graph, const NSigmaWireModel& wire,
   rec.xw.assign(num_arcs, 0.0);
   // X_w depends only on the (driver type, sink type) pair; cache the
   // string-keyed model call per pair. PI-driven nets use the "INVx4"
-  // driver stand-in, matching every legacy engine.
+  // driver stand-in.
   std::unordered_map<const CellType*, std::unordered_map<const CellType*, double>>
       cache;
   static const std::string kPiDriver = "INVx4";
@@ -156,8 +156,8 @@ void flat_propagate_cell(const FlatTimingGraph& graph,
       const auto fan = static_cast<std::size_t>(fan_id);
       const auto& fan_time = res.nets[fan];
       if (!fan_time.reachable) continue;
-      // Wire delay from the fanin driver to this pin (precomputed by the
-      // exact legacy tree.elmore call in bind_arc_records).
+      // Wire delay from the fanin driver to this pin (precomputed in
+      // bind_arc_records by sta_kernel::propagate_cell's tree.elmore call).
       const double wire_delay = rec.has_tree[arc] ? rec.elmore[arc] : 0.0;
       const double slew_in = fan_time.slew[static_cast<std::size_t>(in_edge)];
       const CellArcModel* am = models[arc];
@@ -189,25 +189,8 @@ void flat_propagate_cell(const FlatTimingGraph& graph,
 
 void flat_select_critical(const FlatTimingGraph& graph,
                           StaEngine::Result& res) {
-  res.max_arrival = 0.0;
-  res.critical_net = -1;
-  res.critical_edge = 0;
-  for (FlatTimingGraph::Id po : graph.primary_outputs()) {
-    const auto& nt = res.nets[po];
-    if (!nt.reachable) continue;
-    for (int edge = 0; edge < 2; ++edge) {
-      const double arr = nt.arrival[static_cast<std::size_t>(edge)];
-      if (arr > res.max_arrival) {
-        res.max_arrival = arr;
-        res.critical_net = static_cast<int>(po);
-        res.critical_edge = edge;
-      }
-    }
-  }
-  if (res.critical_net < 0) {
-    throw std::runtime_error("StaEngine: no reachable primary output in " +
-                             graph.design_name());
-  }
+  sta_kernel::select_critical(graph.primary_outputs(), graph.design_name(),
+                              res);
 }
 
 }  // namespace flat_kernel

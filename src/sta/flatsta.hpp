@@ -9,13 +9,14 @@
 //
 // Byte-identity contract: each flat kernel performs exactly the floating-
 // point operations of its sta_kernel twin, in the same order, on the same
-// inputs. NSigmaCellModel keys arcs by (cell name, input edge) and
-// ignores the pin, so one handle per (CellType, edge) reproduces every
-// per-arc string lookup; Elmore is precomputed by the same
-// tree.elmore(tree.sink_node(name)) call the legacy kernel makes per
-// visit. Handles that fail to resolve (cell type absent from the model)
-// stay null and the kernels fall back to the legacy string path, which
-// throws exactly where the legacy engine would.
+// inputs; StaEngine::run runs these, IncrementalSta and the dist cone
+// shards run the twins. NSigmaCellModel keys arcs by (cell name, input
+// edge) and ignores the pin, so one handle per (CellType, edge)
+// reproduces every per-arc string lookup; Elmore is precomputed by the
+// same tree.elmore(tree.sink_node(name)) call sta_kernel::propagate_cell
+// makes per visit. Handles that fail to resolve (cell type absent from
+// the model) stay null and the kernels fall back to the string-keyed
+// model call, which throws exactly where the twin would.
 
 #include <array>
 #include <cstddef>
@@ -57,9 +58,8 @@ void bind_arc_records(const FlatTimingGraph& graph,
                       FlatArcRecords& rec);
 
 /// Fills rec.xw for every arc with a tree: wire.xw(driver cell type,
-/// sink cell type), with the "INVx4" driver fallback for PI-driven nets
-/// (matching NetlistMonteCarlo / AnalyticSsta / analysis). Cached per
-/// (driver type, sink type) pair.
+/// sink cell type), with the "INVx4" driver fallback for PI-driven nets.
+/// Cached per (driver type, sink type) pair.
 void bind_wire_xw(const FlatTimingGraph& graph, const NSigmaWireModel& wire,
                   FlatArcRecords& rec);
 

@@ -216,28 +216,10 @@ const StaEngine::Result& IncrementalSta::update() {
     }
   }
 
-  // Endpoint selection over the (cached) PO list — same comparisons as
-  // sta_kernel::select_critical.
+  // Endpoint selection over the cached PO list: primary_outputs()
+  // rescans every net once per generation, i.e. once per edit.
   if (po_set_changed) po_cache_ = netlist_->primary_outputs();
-  result_.max_arrival = 0.0;
-  result_.critical_net = -1;
-  result_.critical_edge = 0;
-  for (int po : po_cache_) {
-    const auto& nt = result_.nets[static_cast<std::size_t>(po)];
-    if (!nt.reachable) continue;
-    for (int edge = 0; edge < 2; ++edge) {
-      const double arr = nt.arrival[static_cast<std::size_t>(edge)];
-      if (arr > result_.max_arrival) {
-        result_.max_arrival = arr;
-        result_.critical_net = po;
-        result_.critical_edge = edge;
-      }
-    }
-  }
-  if (result_.critical_net < 0) {
-    throw std::runtime_error("IncrementalSta: no reachable primary output in " +
-                             netlist_->name());
-  }
+  sta_kernel::select_critical(po_cache_, netlist_->name(), result_);
 
   synced_gen_ = gen;
   pending_parasitics_.clear();

@@ -12,9 +12,12 @@
 // Determinism contract: update() produces a Result bit-identical to a
 // fresh StaEngine::run() on the edited netlist, at any thread count. Two
 // properties make this hold:
-//   1. Shared kernels — annotation and per-cell propagation run the exact
-//      sta_kernel functions the full engine runs, so any slot that is
-//      recomputed is recomputed by the same floating-point operations.
+//   1. Twin kernels — annotation and per-cell propagation run the
+//      sta_kernel functions; the full engine runs their flat_kernel twins,
+//      which perform the same floating-point operations in the same order
+//      on the same inputs (a reference full pass built from sta_kernel is
+//      checked bit for bit against StaEngine::run in the tests), so any
+//      slot that is recomputed gets exactly the full-run value.
 //   2. Convergence cut — a recomputed cell whose output NetTime is exactly
 //      equal to its previous value stops the wave (its fanout already
 //      holds values derived from identical inputs). Slots the wave never

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "netlist/flatgraph.hpp"
-#include "sta/annotate.hpp"
 #include "sta/flatsta.hpp"
 #include "stats/quantiles.hpp"
 #include "util/faultinject.hpp"
@@ -129,133 +128,74 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
   // Nominal pre-pass: slews, annotated loads/trees, reachability. Slews are
   // frozen at their nominal values for every sample (the standard
   // block-based SSTA simplification, see DESIGN.md), which is what lets the
-  // per-arc moments be precomputed outside the sample loop.
+  // per-arc moments be precomputed outside the sample loop. The pass keeps
+  // the engine's bound per-arc records (charlib handles + Elmore) and binds
+  // X_w, so the arc build below reads arrays instead of string-keyed model
+  // maps.
   const StaEngine engine(cell_model_, tech_, options_.sta);
-  // On the flat path compile once, reuse the engine's bound per-arc
-  // records (charlib handles + Elmore), and bind X_w per arc — the arc
-  // build below then reads arrays instead of string-keyed model maps.
-  std::optional<FlatTimingGraph> graph;
+  const FlatTimingGraph g =
+      FlatTimingGraph::compile(netlist, options_.sta.exec.cancel);
   FlatArcRecords rec;
-  StaEngine::Result nom;
-  if (options_.sta.use_flatgraph) {
-    graph.emplace(FlatTimingGraph::compile(netlist, options_.sta.exec.cancel));
-    nom = engine.run(*graph, netlist, parasitics, &rec);
-    flat_kernel::bind_wire_xw(*graph, wire_model_, rec);
-  } else {
-    nom = engine.run(netlist, parasitics);
-  }
+  const StaEngine::Result nom = engine.run(g, netlist, parasitics, &rec);
+  flat_kernel::bind_wire_xw(g, wire_model_, rec);
 
   // Flatten the timing graph into levelized (cell, edge) tasks over plain
-  // arc records. Levelized order guarantees fanin slots are written before
-  // they are read; within one sample propagation is serial, so no
-  // intra-sample barriers are needed.
+  // arc records. Positions replay the levelized order, which guarantees
+  // fanin slots are written before they are read; within one sample
+  // propagation is serial, so no intra-sample barriers are needed.
   const double scale = std::max(options_.variation_scale, 0.0);
   std::vector<McArc> arcs;
   std::vector<McTask> tasks;
   arcs.reserve(2 * n_cells * 2);
   tasks.reserve(2 * n_cells);
-  if (graph) {
-    // Flat build: positions replay the levelized order exactly, per-arc
-    // moments come from the resolved handles (same Grid2D/calib objects
-    // the string path resolves to), elmore/xw from the bound records —
-    // byte-identical arcs to the legacy loop below.
-    using Id = FlatTimingGraph::Id;
-    const FlatTimingGraph& g = *graph;
-    for (Id pos = 0; pos < g.num_cells(); ++pos) {
-      const auto outn = static_cast<std::size_t>(g.cell_out_net(pos));
-      if (!nom.nets[outn].reachable) continue;
-      const double load = nom.net_load[outn];
-      const bool inverting = g.inverting(pos);
-      const Id a0 = g.fanin_begin(pos);
-      const Id a1 = g.fanin_end(pos);
-      for (int edge = 0; edge < 2; ++edge) {
-        const bool out_rising = edge == 0;
-        const bool in_rising = inverting ? !out_rising : out_rising;
-        const int in_edge = in_rising ? 0 : 1;
-        const auto& models = rec.arc_model[static_cast<std::size_t>(in_edge)];
-        McTask task;
-        task.out_slot = outn * 2 + static_cast<std::size_t>(edge);
-        task.cell = static_cast<std::size_t>(g.cell_id(pos));
-        task.first_arc = static_cast<std::uint32_t>(arcs.size());
-        for (Id arc = a0; arc < a1; ++arc) {
-          const Id fan_id = g.fanin_net(arc);
-          if (fan_id == FlatTimingGraph::kNoId) continue;
-          const auto fan = static_cast<std::size_t>(fan_id);
-          if (!nom.nets[fan].reachable) continue;
-          McArc a;
-          a.src_slot = fan * 2 + static_cast<std::size_t>(in_edge);
-          const double slew_in =
-              nom.nets[fan].slew[static_cast<std::size_t>(in_edge)];
-          const CellArcModel* am = models[arc];
-          const Moments m =
-              am ? am->calib.moments_at(slew_in, load)
-                 : cell_model_.moments(g.cell_type(pos)->name(),
-                                       static_cast<int>(arc - a0), in_rising,
-                                       slew_in, load);
-          a.mu = m.mu;
-          a.sigma = m.sigma * scale;
-          if (options_.moment_shaping) {
-            a.cf.g6 = m.gamma / 6.0;
-            a.cf.k24 = m.kappa / 24.0;
-            a.cf.g36 = m.gamma * m.gamma / 36.0;
-          }
-          if (rec.has_tree[arc]) {
-            a.elmore = rec.elmore[arc];
-            a.xw = rec.xw[arc] * scale;
-            a.wire_z = static_cast<int>(fan);
-          }
-          arcs.push_back(a);
-          ++task.num_arcs;
+  using Id = FlatTimingGraph::Id;
+  for (Id pos = 0; pos < g.num_cells(); ++pos) {
+    const auto outn = static_cast<std::size_t>(g.cell_out_net(pos));
+    if (!nom.nets[outn].reachable) continue;
+    const double load = nom.net_load[outn];
+    const bool inverting = g.inverting(pos);
+    const Id a0 = g.fanin_begin(pos);
+    const Id a1 = g.fanin_end(pos);
+    for (int edge = 0; edge < 2; ++edge) {
+      const bool out_rising = edge == 0;
+      const bool in_rising = inverting ? !out_rising : out_rising;
+      const int in_edge = in_rising ? 0 : 1;
+      const auto& models = rec.arc_model[static_cast<std::size_t>(in_edge)];
+      McTask task;
+      task.out_slot = outn * 2 + static_cast<std::size_t>(edge);
+      task.cell = static_cast<std::size_t>(g.cell_id(pos));
+      task.first_arc = static_cast<std::uint32_t>(arcs.size());
+      for (Id arc = a0; arc < a1; ++arc) {
+        const Id fan_id = g.fanin_net(arc);
+        if (fan_id == FlatTimingGraph::kNoId) continue;  // unconnected pin
+        const auto fan = static_cast<std::size_t>(fan_id);
+        if (!nom.nets[fan].reachable) continue;
+        McArc a;
+        a.src_slot = fan * 2 + static_cast<std::size_t>(in_edge);
+        const double slew_in =
+            nom.nets[fan].slew[static_cast<std::size_t>(in_edge)];
+        const CellArcModel* am = models[arc];
+        const Moments m =
+            am ? am->calib.moments_at(slew_in, load)
+               : cell_model_.moments(g.cell_type(pos)->name(),
+                                     static_cast<int>(arc - a0), in_rising,
+                                     slew_in, load);
+        a.mu = m.mu;
+        a.sigma = m.sigma * scale;
+        if (options_.moment_shaping) {
+          a.cf.g6 = m.gamma / 6.0;
+          a.cf.k24 = m.kappa / 24.0;
+          a.cf.g36 = m.gamma * m.gamma / 36.0;
         }
-        if (task.num_arcs > 0) tasks.push_back(task);
-      }
-    }
-  } else
-  for (const auto& level : netlist.levelization().levels) {
-    for (int c : level) {
-      const CellInst& inst = netlist.cell(c);
-      const auto outn = static_cast<std::size_t>(inst.out_net);
-      if (!nom.nets[outn].reachable) continue;
-      const double load = nom.net_load[outn];
-      const bool inverting = inst.type->inverting();
-      for (int edge = 0; edge < 2; ++edge) {
-        const bool out_rising = edge == 0;
-        const bool in_rising = inverting ? !out_rising : out_rising;
-        const int in_edge = in_rising ? 0 : 1;
-        McTask task;
-        task.out_slot = outn * 2 + static_cast<std::size_t>(edge);
-        task.cell = static_cast<std::size_t>(c);
-        task.first_arc = static_cast<std::uint32_t>(arcs.size());
-        for (std::size_t pin = 0; pin < inst.fanin_nets.size(); ++pin) {
-          const auto fan = static_cast<std::size_t>(inst.fanin_nets[pin]);
-          if (!nom.nets[fan].reachable) continue;
-          McArc a;
-          a.src_slot = fan * 2 + static_cast<std::size_t>(in_edge);
-          const Moments m = cell_model_.moments(
-              inst.type->name(), static_cast<int>(pin), in_rising,
-              nom.nets[fan].slew[static_cast<std::size_t>(in_edge)], load);
-          a.mu = m.mu;
-          a.sigma = m.sigma * scale;
-          if (options_.moment_shaping) {
-            a.cf.g6 = m.gamma / 6.0;
-            a.cf.k24 = m.kappa / 24.0;
-            a.cf.g36 = m.gamma * m.gamma / 36.0;
-          }
-          const RcTree& tree = nom.annotated[fan];
-          if (tree.num_nodes() > 1) {
-            a.elmore = tree.elmore(
-                tree.sink_node(sink_pin_name(inst, static_cast<int>(pin))));
-            const int drv = netlist.net(static_cast<int>(fan)).driver_cell;
-            const std::string drv_name =
-                drv >= 0 ? netlist.cell(drv).type->name() : "INVx4";
-            a.xw = wire_model_.xw(drv_name, inst.type->name()) * scale;
-            a.wire_z = static_cast<int>(fan);
-          }
-          arcs.push_back(a);
-          ++task.num_arcs;
+        if (rec.has_tree[arc]) {
+          a.elmore = rec.elmore[arc];
+          a.xw = rec.xw[arc] * scale;
+          a.wire_z = static_cast<int>(fan);
         }
-        if (task.num_arcs > 0) tasks.push_back(task);
+        arcs.push_back(a);
+        ++task.num_arcs;
       }
+      if (task.num_arcs > 0) tasks.push_back(task);
     }
   }
 

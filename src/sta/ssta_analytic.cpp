@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <optional>
-#include <string>
 #include <utility>
 
 #include "netlist/flatgraph.hpp"
-#include "sta/annotate.hpp"
 #include "sta/flatsta.hpp"
 #include "stats/quantiles.hpp"
 #include "util/faultinject.hpp"
@@ -781,19 +778,15 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
   // at nominal for every stage, the same block-based simplification the MC
   // sampler uses, so the two engines model the identical system.
   const StaEngine engine(cell_model_, tech_, options_.sta);
-  // Flat path: compile once, reuse the engine's bound per-arc records
-  // (charlib handles + Elmore) and bind X_w, so the flatten loop below
-  // reads arrays instead of string-keyed model maps.
-  std::optional<FlatTimingGraph> graph;
+  // Keep the engine's bound per-arc records (charlib handles + Elmore) and
+  // bind X_w, so the flatten loop below reads arrays instead of
+  // string-keyed model maps.
+  using Id = FlatTimingGraph::Id;
+  const FlatTimingGraph g =
+      FlatTimingGraph::compile(netlist, options_.sta.exec.cancel);
   FlatArcRecords rec;
-  StaEngine::Result nom;
-  if (options_.sta.use_flatgraph) {
-    graph.emplace(FlatTimingGraph::compile(netlist, options_.sta.exec.cancel));
-    nom = engine.run(*graph, netlist, parasitics, &rec);
-    flat_kernel::bind_wire_xw(*graph, wire_model_, rec);
-  } else {
-    nom = engine.run(netlist, parasitics);
-  }
+  const StaEngine::Result nom = engine.run(g, netlist, parasitics, &rec);
+  flat_kernel::bind_wire_xw(g, wire_model_, rec);
 
   const double scale = std::max(options_.variation_scale, 0.0);
   const double rho = std::clamp(options_.die_to_die_share, 0.0, 1.0);
@@ -812,7 +805,6 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
   // pair, so a local vector's length tracks the cone's topological span
   // instead of jumping to a netlist-wide offset the moment a fold residual
   // or wire draw is keyed.
-  const auto& lev = netlist.levelization();
   std::vector<std::size_t> net_pos(n_nets, 0);
   std::size_t n_locals = 0;
   for (std::size_t nn = 0; nn < n_nets; ++nn) {
@@ -826,102 +818,46 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
   std::vector<std::size_t> level_task_end;
   arcs.reserve(4 * n_cells);
   tasks.reserve(2 * n_cells);
-  level_task_end.reserve(lev.levels.size());
-  if (graph) {
-    // Flat flatten: positions replay the levelized order exactly; local
-    // index assignment, arc order, and every floating-point input match
-    // the legacy loop below, so the stage models are byte-identical.
-    using Id = FlatTimingGraph::Id;
-    const FlatTimingGraph& g = *graph;
-    for (Id l = 0; l < g.num_levels(); ++l) {
-      for (Id pos = g.level_begin(l); pos < g.level_end(l); ++pos) {
-        const auto outn = static_cast<std::size_t>(g.cell_out_net(pos));
-        if (!nom.nets[outn].reachable) continue;
-        cell_pos[static_cast<std::size_t>(g.cell_id(pos))] = n_locals++;
-        net_pos[outn] = n_locals++;
-        const double load = nom.net_load[outn];
-        const bool inverting = g.inverting(pos);
-        const Id a0 = g.fanin_begin(pos);
-        const Id a1 = g.fanin_end(pos);
-        for (int edge = 0; edge < 2; ++edge) {
-          const bool out_rising = edge == 0;
-          const bool in_rising = inverting ? !out_rising : out_rising;
-          const int in_edge = in_rising ? 0 : 1;
-          const auto& models =
-              rec.arc_model[static_cast<std::size_t>(in_edge)];
-          SstaTask task;
-          task.out_slot = outn * 2 + static_cast<std::size_t>(edge);
-          task.first_arc = static_cast<std::uint32_t>(arcs.size());
-          for (Id arc = a0; arc < a1; ++arc) {
-            const Id fan_id = g.fanin_net(arc);
-            if (fan_id == FlatTimingGraph::kNoId) continue;
-            const auto fan = static_cast<std::size_t>(fan_id);
-            if (!nom.nets[fan].reachable) continue;
-            SstaArc a;
-            a.src_slot = fan * 2 + static_cast<std::size_t>(in_edge);
-            a.cell_local = cell_pos[static_cast<std::size_t>(g.cell_id(pos))];
-            const double slew_in =
-                nom.nets[fan].slew[static_cast<std::size_t>(in_edge)];
-            const CellArcModel* am = models[arc];
-            const Moments m =
-                am ? am->calib.moments_at(slew_in, load)
-                   : cell_model_.moments(g.cell_type(pos)->name(),
-                                         static_cast<int>(arc - a0),
-                                         in_rising, slew_in, load);
-            a.cell =
-                ssta::cell_stage(m, scale, options_.moment_shaping, w_g, w_l);
-            if (rec.has_tree[arc]) {
-              a.wire = ssta::wire_stage(rec.elmore[arc], rec.xw[arc] * scale,
-                                        w_g, w_l);
-              a.has_wire = true;
-              a.wire_local = net_pos[fan];
-            }
-            arcs.push_back(std::move(a));
-            ++task.num_arcs;
-          }
-          if (task.num_arcs > 0) tasks.push_back(task);
-        }
-      }
-      level_task_end.push_back(tasks.size());
-    }
-  } else
-  for (const auto& level : lev.levels) {
-    for (int c : level) {
-      const CellInst& inst = netlist.cell(c);
-      const auto outn = static_cast<std::size_t>(inst.out_net);
+  level_task_end.reserve(g.num_levels());
+  for (Id l = 0; l < g.num_levels(); ++l) {
+    for (Id pos = g.level_begin(l); pos < g.level_end(l); ++pos) {
+      const auto outn = static_cast<std::size_t>(g.cell_out_net(pos));
       if (!nom.nets[outn].reachable) continue;
-      cell_pos[static_cast<std::size_t>(c)] = n_locals++;
+      cell_pos[static_cast<std::size_t>(g.cell_id(pos))] = n_locals++;
       net_pos[outn] = n_locals++;
       const double load = nom.net_load[outn];
-      const bool inverting = inst.type->inverting();
+      const bool inverting = g.inverting(pos);
+      const Id a0 = g.fanin_begin(pos);
+      const Id a1 = g.fanin_end(pos);
       for (int edge = 0; edge < 2; ++edge) {
         const bool out_rising = edge == 0;
         const bool in_rising = inverting ? !out_rising : out_rising;
         const int in_edge = in_rising ? 0 : 1;
+        const auto& models = rec.arc_model[static_cast<std::size_t>(in_edge)];
         SstaTask task;
         task.out_slot = outn * 2 + static_cast<std::size_t>(edge);
         task.first_arc = static_cast<std::uint32_t>(arcs.size());
-        for (std::size_t pin = 0; pin < inst.fanin_nets.size(); ++pin) {
-          const auto fan = static_cast<std::size_t>(inst.fanin_nets[pin]);
+        for (Id arc = a0; arc < a1; ++arc) {
+          const Id fan_id = g.fanin_net(arc);
+          if (fan_id == FlatTimingGraph::kNoId) continue;  // unconnected pin
+          const auto fan = static_cast<std::size_t>(fan_id);
           if (!nom.nets[fan].reachable) continue;
           SstaArc a;
           a.src_slot = fan * 2 + static_cast<std::size_t>(in_edge);
-          a.cell_local = cell_pos[static_cast<std::size_t>(c)];
-          const Moments m = cell_model_.moments(
-              inst.type->name(), static_cast<int>(pin), in_rising,
-              nom.nets[fan].slew[static_cast<std::size_t>(in_edge)], load);
+          a.cell_local = cell_pos[static_cast<std::size_t>(g.cell_id(pos))];
+          const double slew_in =
+              nom.nets[fan].slew[static_cast<std::size_t>(in_edge)];
+          const CellArcModel* am = models[arc];
+          const Moments m =
+              am ? am->calib.moments_at(slew_in, load)
+                 : cell_model_.moments(g.cell_type(pos)->name(),
+                                       static_cast<int>(arc - a0), in_rising,
+                                       slew_in, load);
           a.cell =
               ssta::cell_stage(m, scale, options_.moment_shaping, w_g, w_l);
-          const RcTree& tree = nom.annotated[fan];
-          if (tree.num_nodes() > 1) {
-            const double elmore = tree.elmore(
-                tree.sink_node(sink_pin_name(inst, static_cast<int>(pin))));
-            const int drv = netlist.net(static_cast<int>(fan)).driver_cell;
-            const std::string drv_name =
-                drv >= 0 ? netlist.cell(drv).type->name() : "INVx4";
-            const double xw =
-                wire_model_.xw(drv_name, inst.type->name()) * scale;
-            a.wire = ssta::wire_stage(elmore, xw, w_g, w_l);
+          if (rec.has_tree[arc]) {
+            a.wire = ssta::wire_stage(rec.elmore[arc], rec.xw[arc] * scale,
+                                      w_g, w_l);
             a.has_wire = true;
             a.wire_local = net_pos[fan];
           }

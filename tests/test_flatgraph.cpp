@@ -1,18 +1,29 @@
 // FlatTimingGraph contract tests: compile/round-trip equivalence against
 // the source GateNetlist, CSR adjacency invariants, level contiguity,
-// interned-name fidelity — and the byte-identity guarantee: StaEngine,
-// NetlistMonteCarlo, and AnalyticSsta must produce bit-identical results
-// on the flat path and the legacy path, at 1 and 4 threads. Plus the
-// scale gate: a 100k-cell designgen netlist compiles under a wall bound,
-// and the new 100k+ generators are structurally lint-clean DAGs.
+// interned-name fidelity. Byte identity: StaEngine must match a reference
+// full pass built from the sta_kernel edit kernel at 1 and 4 threads, and
+// the bound per-arc records must match the name-keyed lookups they
+// replace; NetlistMonteCarlo, AnalyticSsta and interval propagation are
+// pinned on a C432-like design by golden CSVs (regenerate after an
+// intentional model change with NSDC_REGEN_GOLDEN=1 ./tests/test_flatgraph)
+// and by 1-vs-4-thread memcmps. Plus the scale gate: a 100k-cell designgen
+// netlist compiles under a wall bound, and the 100k+ generators are
+// structurally lint-clean DAGs.
 #include "netlist/flatgraph.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analysis.hpp"
@@ -24,6 +35,7 @@
 #include "liberty/synthlib.hpp"
 #include "sta/netmc.hpp"
 #include "sta/ssta_analytic.hpp"
+#include "reference_sta.hpp"
 
 namespace nsdc {
 namespace {
@@ -34,11 +46,10 @@ std::string repo_path(const std::string& rel) {
 
 /// StaConfig pinned to `threads` lanes with the parallel path forced on
 /// (the default min_parallel_cells would keep these designs serial).
-StaConfig exec_config(unsigned threads, bool use_flatgraph) {
+StaConfig exec_config(unsigned threads) {
   StaConfig cfg;
   cfg.exec.threads = threads;
   cfg.min_parallel_cells = threads > 1 ? 1 : 1u << 30;
-  cfg.use_flatgraph = use_flatgraph;
   return cfg;
 }
 
@@ -86,12 +97,17 @@ const std::vector<std::pair<const char*, BuildFn>>& design_matrix() {
   return designs;
 }
 
+/// Bitwise equality of two doubles (distinguishes -0.0 and NaN payloads).
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
 /// Byte-level equality of everything STA consumers read from a Result.
 void expect_sta_identical(const StaEngine::Result& got,
                           const StaEngine::Result& ref,
                           const std::string& what) {
   ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-  EXPECT_EQ(got.max_arrival, ref.max_arrival) << what;
+  EXPECT_TRUE(same_bits(got.max_arrival, ref.max_arrival)) << what;
   EXPECT_EQ(got.critical_net, ref.critical_net) << what;
   EXPECT_EQ(got.critical_edge, ref.critical_edge) << what;
   for (std::size_t n = 0; n < ref.nets.size(); ++n) {
@@ -102,7 +118,7 @@ void expect_sta_identical(const StaEngine::Result& got,
                 std::memcmp(g.slew.data(), r.slew.data(), sizeof(g.slew)) ==
                     0 &&
                 g.from_pin == r.from_pin && g.reachable == r.reachable &&
-                got.net_load[n] == ref.net_load[n])
+                same_bits(got.net_load[n], ref.net_load[n]))
         << what << ": net " << n << " diverged";
   }
 }
@@ -305,93 +321,210 @@ TEST(FlatGraph, MemoryBytesIsPopulated) {
   EXPECT_LT(g.memory_bytes(), static_cast<std::size_t>(g.num_cells()) * 4096);
 }
 
-// ------------------------------------------------ engine byte-identity
+// ------------------------------------------------ reference kernel walk
 
-TEST(FlatGraphIdentity, StaEngineFlatMatchesLegacyAt1And4Threads) {
+TEST(FlatGraphIdentity, StaEngineMatchesKernelReferenceAt1And4Threads) {
   for (const auto& [name, build] : design_matrix()) {
     const DesignFixture fx(build);
     for (unsigned threads : {1u, 4u}) {
-      const StaEngine legacy(fx.model, fx.tech,
-                             exec_config(threads, /*use_flatgraph=*/false));
-      const StaEngine flat(fx.model, fx.tech,
-                           exec_config(threads, /*use_flatgraph=*/true));
-      expect_sta_identical(flat.run(fx.nl, fx.spef),
-                           legacy.run(fx.nl, fx.spef),
-                           std::string(name) + " @" +
-                               std::to_string(threads) + "t");
-    }
-  }
-}
-
-TEST(FlatGraphIdentity, NetMcFlatMatchesLegacyAt1And4Threads) {
-  const DesignFixture fx(&build_c432);
-  McConfig mc;
-  mc.samples = 192;
-  mc.seed = 99;
-  for (unsigned threads : {1u, 4u}) {
-    mc.threads = threads;
-    NetMcOptions legacy_opt, flat_opt;
-    legacy_opt.sta.use_flatgraph = false;
-    flat_opt.sta.use_flatgraph = true;
-    const NetlistMonteCarlo legacy(fx.model, fx.wire_model, fx.tech,
-                                   legacy_opt);
-    const NetlistMonteCarlo flat(fx.model, fx.wire_model, fx.tech, flat_opt);
-    const auto ref = legacy.run(fx.nl, fx.spef, mc);
-    const auto got = flat.run(fx.nl, fx.spef, mc);
-    const std::string what = "netmc @" + std::to_string(threads) + "t";
-    ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-    for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-      for (int e = 0; e < 2; ++e) {
-        const auto& a = got.nets[n][static_cast<std::size_t>(e)];
-        const auto& b = ref.nets[n][static_cast<std::size_t>(e)];
-        EXPECT_EQ(a.count, b.count) << what;
-        expect_moments_identical(a.moments, b.moments, what);
+      const StaConfig cfg = exec_config(threads);
+      const StaEngine engine(fx.model, fx.tech, cfg);
+      const StaEngine::Result got = engine.run(fx.nl, fx.spef);
+      const StaEngine::Result ref =
+          testfix::reference_sta_run(fx.nl, fx.spef, fx.model, fx.tech, cfg);
+      const std::string what =
+          std::string(name) + " @" + std::to_string(threads) + "t";
+      expect_sta_identical(got, ref, what);
+      for (std::size_t n = 0; n < ref.nets.size(); ++n) {
+        ASSERT_EQ(got.annotated[n].num_nodes(), ref.annotated[n].num_nodes())
+            << what << ": net " << n;
+        ASSERT_TRUE(same_bits(got.annotated[n].total_cap(),
+                              ref.annotated[n].total_cap()))
+            << what << ": net " << n;
       }
     }
-    ASSERT_EQ(got.po_nets, ref.po_nets) << what;
-    ASSERT_EQ(got.po_samples.size(), ref.po_samples.size()) << what;
-    for (std::size_t p = 0; p < ref.po_samples.size(); ++p) {
-      EXPECT_EQ(got.po_samples[p], ref.po_samples[p]) << what;
-    }
-    EXPECT_EQ(got.circuit_samples, ref.circuit_samples) << what;
-    EXPECT_EQ(got.worst_po, ref.worst_po) << what;
-    expect_moments_identical(got.worst_po_moments, ref.worst_po_moments,
-                             what);
   }
 }
 
-TEST(FlatGraphIdentity, AnalyticSstaFlatMatchesLegacyAt1And4Threads) {
-  const DesignFixture fx(&build_c432);
-  for (unsigned threads : {1u, 4u}) {
-    AnalyticSstaOptions legacy_opt, flat_opt;
-    legacy_opt.sta = exec_config(threads, /*use_flatgraph=*/false);
-    flat_opt.sta = exec_config(threads, /*use_flatgraph=*/true);
-    const AnalyticSsta legacy(fx.model, fx.wire_model, fx.tech, legacy_opt);
-    const AnalyticSsta flat(fx.model, fx.wire_model, fx.tech, flat_opt);
-    const auto ref = legacy.run(fx.nl, fx.spef);
-    const auto got = flat.run(fx.nl, fx.spef);
-    const std::string what = "ssta @" + std::to_string(threads) + "t";
-    ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-    for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-      for (int e = 0; e < 2; ++e) {
-        const auto& a = got.nets[n][static_cast<std::size_t>(e)];
-        const auto& b = ref.nets[n][static_cast<std::size_t>(e)];
-        EXPECT_EQ(a.reachable, b.reachable) << what;
-        expect_moments_identical(a.moments, b.moments, what);
+// The per-arc records the flat engines read (charlib handle, Elmore, raw
+// X_w) against the name-keyed lookups they stand in for: the ones
+// sta_kernel::propagate_cell makes per visit and the wire-model query.
+TEST(FlatGraphIdentity, BoundRecordsMatchNameKeyedLookups) {
+  for (const auto& [name, build] : design_matrix()) {
+    const DesignFixture fx(build);
+    const FlatTimingGraph g = FlatTimingGraph::compile(fx.nl);
+    const StaEngine engine(fx.model, fx.tech);
+    FlatArcRecords rec;
+    const StaEngine::Result res = engine.run(g, fx.nl, fx.spef, &rec);
+    flat_kernel::bind_wire_xw(g, fx.wire_model, rec);
+    using Id = FlatTimingGraph::Id;
+    std::size_t with_tree = 0;
+    for (std::size_t c = 0; c < fx.nl.num_cells(); ++c) {
+      const CellInst& inst = fx.nl.cell(static_cast<int>(c));
+      const Id pos = g.position_of_cell(static_cast<Id>(c));
+      for (std::size_t pin = 0; pin < inst.fanin_nets.size(); ++pin) {
+        const Id arc = g.fanin_begin(pos) + static_cast<Id>(pin);
+        const std::string what =
+            std::string(name) + ": " + inst.name + " pin " +
+            std::to_string(pin);
+        for (int e = 0; e < 2; ++e) {
+          EXPECT_EQ(rec.arc_model[static_cast<std::size_t>(e)][arc],
+                    &fx.model.arc(inst.type->name(), static_cast<int>(pin),
+                                  e == 0))
+              << what;
+        }
+        const int fan = inst.fanin_nets[pin];
+        const RcTree* tree =
+            fan < 0 ? nullptr : &res.annotated[static_cast<std::size_t>(fan)];
+        if (tree == nullptr || tree->num_nodes() <= 1) {
+          EXPECT_EQ(rec.has_tree[arc], 0) << what;
+          EXPECT_TRUE(same_bits(rec.elmore[arc], 0.0)) << what;
+          EXPECT_TRUE(same_bits(rec.xw[arc], 0.0)) << what;
+          continue;
+        }
+        ++with_tree;
+        EXPECT_EQ(rec.has_tree[arc], 1) << what;
+        const double elmore = tree->elmore(
+            tree->sink_node(sink_pin_name(inst, static_cast<int>(pin))));
+        EXPECT_TRUE(same_bits(rec.elmore[arc], elmore)) << what;
+        const int drv = fx.nl.net(fan).driver_cell;
+        const std::string drv_name =
+            drv >= 0 ? fx.nl.cell(drv).type->name() : "INVx4";
+        EXPECT_TRUE(same_bits(rec.xw[arc],
+                              fx.wire_model.xw(drv_name, inst.type->name())))
+            << what;
       }
     }
-    ASSERT_EQ(got.po_nets, ref.po_nets) << what;
-    EXPECT_EQ(got.worst_po, ref.worst_po) << what;
-    expect_moments_identical(got.worst_po_moments, ref.worst_po_moments,
-                             what);
-    EXPECT_EQ(got.worst_po_quantiles, ref.worst_po_quantiles) << what;
+    EXPECT_GT(with_tree, 0u) << name;
   }
 }
 
-TEST(FlatGraphIdentity, IntervalPropagationFlatMatchesLegacy) {
+// ------------------------------------------------ C432 goldens
+
+/// Compares `rows` (a name column, then numbers) against a golden CSV at
+/// 1e-9 relative — the 12 significant digits the file holds. With
+/// NSDC_REGEN_GOLDEN set the file is rewritten instead and the test skips.
+/// Call it last in a test body.
+void check_golden_csv(
+    const std::string& rel_path, const std::string& header,
+    const std::vector<std::pair<std::string, std::vector<double>>>& rows) {
+  const std::string path = repo_path(rel_path);
+  if (std::getenv("NSDC_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << path;
+    out << header << "\n";
+    char buf[64];
+    for (const auto& [name, vals] : rows) {
+      out << name;
+      for (double v : vals) {
+        std::snprintf(buf, sizeof(buf), ",%.12e", v);
+        out << buf;
+      }
+      out << "\n";
+    }
+    GTEST_SKIP() << "regenerated " << path;
+  }
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file: " << path;
+  std::map<std::string, std::vector<double>> golden;
+  std::string line;
+  std::getline(in, line);
+  ASSERT_EQ(line, header) << path;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    std::istringstream ss(line);
+    std::string name, field;
+    std::getline(ss, name, ',');
+    std::vector<double> vals;
+    while (std::getline(ss, field, ',')) vals.push_back(std::stod(field));
+    golden[name] = vals;
+  }
+  ASSERT_EQ(golden.size(), rows.size()) << path;
+  const double rtol = 1e-9;
+  for (const auto& [name, vals] : rows) {
+    const auto it = golden.find(name);
+    ASSERT_NE(it, golden.end()) << name << " missing from " << path;
+    ASSERT_EQ(it->second.size(), vals.size()) << name;
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+      const double g = it->second[i];
+      EXPECT_NEAR(vals[i], g, rtol * std::fabs(g) + 1e-18)
+          << path << ": " << name << " column " << i + 1;
+    }
+  }
+}
+
+TEST(FlatGraphGolden, NetMcC432MatchesGoldenAt1And4Threads) {
   const DesignFixture fx(&build_c432);
-  const StaEngine engine(fx.model, fx.tech);
-  const StaEngine::Result annotated = engine.run(fx.nl, fx.spef);
+  const NetlistMonteCarlo mc(fx.model, fx.wire_model, fx.tech);
+  McConfig cfg;
+  cfg.samples = 512;
+  cfg.seed = 99;
+  cfg.threads = 1;
+  const auto ref = mc.run(fx.nl, fx.spef, cfg);
+  cfg.threads = 4;
+  const auto got = mc.run(fx.nl, fx.spef, cfg);
+  ASSERT_EQ(got.nets.size(), ref.nets.size());
+  for (std::size_t n = 0; n < ref.nets.size(); ++n) {
+    for (std::size_t e = 0; e < 2; ++e) {
+      EXPECT_EQ(got.nets[n][e].count, ref.nets[n][e].count) << n;
+      expect_moments_identical(got.nets[n][e].moments, ref.nets[n][e].moments,
+                               "netmc 1 vs 4 lanes, net " + std::to_string(n));
+    }
+  }
+  ASSERT_EQ(got.po_nets, ref.po_nets);
+  EXPECT_EQ(got.po_samples, ref.po_samples);
+  EXPECT_EQ(got.circuit_samples, ref.circuit_samples);
+  EXPECT_EQ(ref.total_quarantined, 0u);
+
+  std::vector<std::pair<std::string, std::vector<double>>> rows;
+  for (std::size_t p = 0; p < ref.po_nets.size(); ++p) {
+    std::vector<double> vals = {ref.po_moments[p].mu, ref.po_moments[p].sigma};
+    vals.insert(vals.end(), ref.po_quantiles[p].begin(),
+                ref.po_quantiles[p].end());
+    rows.emplace_back(fx.nl.net(ref.po_nets[p]).name, std::move(vals));
+  }
+  check_golden_csv("data/c432_golden_netmc.csv",
+                   "po_net,mu,sigma,qm3,qm2,qm1,q0,qp1,qp2,qp3", rows);
+}
+
+TEST(FlatGraphGolden, AnalyticSstaC432MatchesGoldenAt1And4Threads) {
+  const DesignFixture fx(&build_c432);
+  AnalyticSstaOptions opt1, opt4;
+  opt1.sta = exec_config(1);
+  opt4.sta = exec_config(4);
+  const auto ref =
+      AnalyticSsta(fx.model, fx.wire_model, fx.tech, opt1).run(fx.nl, fx.spef);
+  const auto got =
+      AnalyticSsta(fx.model, fx.wire_model, fx.tech, opt4).run(fx.nl, fx.spef);
+  ASSERT_EQ(got.nets.size(), ref.nets.size());
+  for (std::size_t n = 0; n < ref.nets.size(); ++n) {
+    for (std::size_t e = 0; e < 2; ++e) {
+      EXPECT_EQ(got.nets[n][e].reachable, ref.nets[n][e].reachable) << n;
+      expect_moments_identical(got.nets[n][e].moments, ref.nets[n][e].moments,
+                               "ssta 1 vs 4 lanes, net " + std::to_string(n));
+    }
+  }
+  ASSERT_EQ(got.po_nets, ref.po_nets);
+  EXPECT_EQ(got.po_quantiles, ref.po_quantiles);
+
+  std::vector<std::pair<std::string, std::vector<double>>> rows;
+  for (std::size_t p = 0; p < ref.po_nets.size(); ++p) {
+    const Moments& m = ref.po_moments[p];
+    std::vector<double> vals = {m.mu, m.sigma, m.gamma, m.kappa};
+    vals.insert(vals.end(), ref.po_quantiles[p].begin(),
+                ref.po_quantiles[p].end());
+    rows.emplace_back(fx.nl.net(ref.po_nets[p]).name, std::move(vals));
+  }
+  check_golden_csv(
+      "data/ssta_c432_golden.csv",
+      "po_net,mu,sigma,gamma,kappa,qm3,qm2,qm1,q0,qp1,qp2,qp3", rows);
+}
+
+TEST(FlatGraphGolden, IntervalsC432MatchGoldenAt1And4Threads) {
+  const DesignFixture fx(&build_c432);
+  const StaEngine::Result annotated =
+      StaEngine(fx.model, fx.tech).run(fx.nl, fx.spef);
   AnalysisInput input;
   input.netlist = &fx.nl;
   input.parasitics = &fx.spef;
@@ -399,34 +532,28 @@ TEST(FlatGraphIdentity, IntervalPropagationFlatMatchesLegacy) {
   input.cell_model = &fx.model;
   input.wire_model = &fx.wire_model;
   input.tech = &fx.tech;
-  AnalysisOptions legacy_opt, flat_opt;
-  legacy_opt.use_flatgraph = false;
-  flat_opt.use_flatgraph = true;
-  const IntervalResult ref = propagate_intervals(input, legacy_opt, annotated);
-  const IntervalResult got = propagate_intervals(input, flat_opt, annotated);
+  AnalysisOptions opt1, opt4;
+  opt1.exec.threads = 1;
+  opt4.exec.threads = 4;
+  const IntervalResult ref = propagate_intervals(input, opt1, annotated);
+  const IntervalResult got = propagate_intervals(input, opt4, annotated);
   ASSERT_EQ(got.nets.size(), ref.nets.size());
   for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-    const auto& a = got.nets[n];
-    const auto& b = ref.nets[n];
+    const NetBounds& a = got.nets[n];
+    const NetBounds& b = ref.nets[n];
     EXPECT_EQ(a.reachable, b.reachable) << n;
-    for (int e = 0; e < 2; ++e) {
-      EXPECT_EQ(a.arrival[static_cast<std::size_t>(e)].lo,
-                b.arrival[static_cast<std::size_t>(e)].lo)
-          << n;
-      EXPECT_EQ(a.arrival[static_cast<std::size_t>(e)].hi,
-                b.arrival[static_cast<std::size_t>(e)].hi)
-          << n;
-      EXPECT_EQ(a.slew[static_cast<std::size_t>(e)].lo,
-                b.slew[static_cast<std::size_t>(e)].lo)
-          << n;
-      EXPECT_EQ(a.slew[static_cast<std::size_t>(e)].hi,
-                b.slew[static_cast<std::size_t>(e)].hi)
-          << n;
-    }
+    EXPECT_EQ(std::memcmp(&a.arrival, &b.arrival, sizeof a.arrival), 0) << n;
+    EXPECT_EQ(std::memcmp(&a.slew, &b.slew, sizeof a.slew), 0) << n;
   }
   ASSERT_EQ(got.po_nets, ref.po_nets);
-  EXPECT_EQ(got.max_arrival.lo, ref.max_arrival.lo);
-  EXPECT_EQ(got.max_arrival.hi, ref.max_arrival.hi);
+
+  std::vector<std::pair<std::string, std::vector<double>>> rows;
+  for (std::size_t p = 0; p < ref.po_nets.size(); ++p) {
+    rows.emplace_back(fx.nl.net(ref.po_nets[p]).name,
+                      std::vector<double>{ref.po_bounds[p].lo,
+                                          ref.po_bounds[p].hi});
+  }
+  check_golden_csv("data/c432_golden_intervals.csv", "po_net,lo,hi", rows);
 }
 
 // ------------------------------------------------ scale generators

@@ -579,6 +579,133 @@ TEST_F(ServeTest, SessionValidationAndOwnership) {
   EXPECT_EQ(h.service.open_sessions(), 0u);
 }
 
+// --- Untimeable rewires -----------------------------------------------------
+
+struct EditReply {
+  serve::ResponseHead head;
+  std::uint64_t edits = 0;       ///< journal records the update consumed
+  std::uint64_t generation = 0;  ///< session netlist generation afterwards
+};
+
+EditReply send_edit(net::Client& client, serve::SessionEditRequest& edit) {
+  const std::string response = client.call(edit.take());
+  net::WireReader r(response);
+  EditReply out;
+  out.head = serve::read_response_head(r);
+  if (out.head.status != serve::Status::kOk) return out;
+  out.edits = r.u64();
+  r.u64();  // nets_reannotated
+  r.u64();  // cells_recomputed
+  r.u64();  // cells_converged
+  r.u8();   // full_rerun
+  r.f64();  // max_arrival
+  r.u32();  // critical_net
+  r.u8();   // critical_edge
+  out.generation = r.u64();
+  return out;
+}
+
+class ServeRewireTest : public ServeTest {
+ protected:
+  /// Sends a rewire of (cell, pin) onto `net` that cannot be timed and
+  /// expects kBadRequest naming `why`. A retype sent next must succeed as
+  /// if the rewire had never been sent: the netlist generation advanced
+  /// by the retype alone, and every PO arrival is bit-equal to an offline
+  /// IncrementalSta that only saw the retype.
+  void expect_rewire_rejected(const ParasiticDb& parasitics, int cell, int pin,
+                              int net, const std::string& why) {
+    serve::ServiceRefs r = refs();
+    r.parasitics = &parasitics;
+    Harness h(r, net::Endpoint::unix_path(unique_socket_path("rewire")));
+    net::Client client(h.client_endpoint());
+    const std::string open = client.call(serve::make_session_open(1));
+    net::WireReader orr(open);
+    ASSERT_EQ(serve::read_response_head(orr).status, serve::Status::kOk);
+    const std::uint32_t session = orr.u32();
+
+    serve::SessionEditRequest rewire(2, session);
+    rewire.rewire_fanin(static_cast<std::uint32_t>(cell),
+                        static_cast<std::uint32_t>(pin),
+                        static_cast<std::uint32_t>(net));
+    const EditReply rejected = send_edit(client, rewire);
+    EXPECT_EQ(rejected.head.status, serve::Status::kBadRequest)
+        << rejected.head.error;
+    EXPECT_NE(rejected.head.error.find(why), std::string::npos)
+        << rejected.head.error;
+
+    const int retype_cell = 0;
+    const CellType& retype_to =
+        lib.by_func(nl.cell(retype_cell).type->func(), 8);
+    serve::SessionEditRequest retype(3, session);
+    retype.set_cell_type(static_cast<std::uint32_t>(retype_cell),
+                         retype_to.name());
+    const EditReply ok = send_edit(client, retype);
+    ASSERT_EQ(ok.head.status, serve::Status::kOk) << ok.head.error;
+    EXPECT_EQ(ok.edits, 1u);
+    EXPECT_EQ(ok.generation, nl.generation() + 1);
+
+    GateNetlist offline = nl;
+    IncrementalSta inc(cell_model, tech);
+    inc.bind(offline, parasitics);
+    offline.set_cell_type(retype_cell, retype_to);
+    const StaEngine::Result& expect = inc.update();
+    std::uint32_t id = 4;
+    for (const int po : nl.primary_outputs()) {
+      const std::string q = client.call(
+          serve::make_session_query(id++, session, nl.net(po).name));
+      net::WireReader qr(q);
+      const auto qh = serve::read_response_head(qr);
+      ASSERT_EQ(qh.status, serve::Status::kOk) << qh.error;
+      EXPECT_EQ(qr.u32(), static_cast<std::uint32_t>(po));
+      const auto& nt = expect.nets[static_cast<std::size_t>(po)];
+      EXPECT_EQ(qr.u8(), nt.reachable ? 1 : 0);
+      EXPECT_EQ(qr.f64(), nt.arrival[0]) << "PO " << po;
+      EXPECT_EQ(qr.f64(), nt.arrival[1]) << "PO " << po;
+      EXPECT_EQ(qr.f64(), nt.slew[0]) << "PO " << po;
+      EXPECT_EQ(qr.f64(), nt.slew[1]) << "PO " << po;
+      EXPECT_EQ(qr.f64(), expect.max_arrival);
+    }
+  }
+};
+
+TEST_F(ServeRewireTest, RewireOntoTreeWithoutTheSinkPinIsRejected) {
+  // A primary input (so no cycle) whose extracted tree has no node for
+  // the rewired pin: annotation could not place the pin cap.
+  const int cell = static_cast<int>(nl.num_cells()) / 2;
+  const std::string pin_name = sink_pin_name(nl.cell(cell), 0);
+  int target = -1;
+  for (const int pi : nl.primary_inputs()) {
+    const RcTree* tree = spef.find(nl.net(pi).name);
+    if (pi == nl.cell(cell).fanin_nets[0] || tree == nullptr) continue;
+    bool has_pin = false;
+    for (const auto& s : tree->sinks()) has_pin = has_pin || s.pin == pin_name;
+    if (!has_pin) {
+      target = pi;
+      break;
+    }
+  }
+  ASSERT_GE(target, 0);
+  expect_rewire_rejected(spef, cell, 0, target, "has no sink");
+}
+
+TEST_F(ServeRewireTest, RewireClosingACombinationalLoopIsRejected) {
+  // Pin-cap-only parasitics, so only the cycle check can refuse: feed a
+  // cell's first pin from the output of one of its own fanout cells.
+  const ParasiticDb no_spef;
+  int cell = -1, loop_net = -1;
+  for (std::size_t c = 0; c < nl.num_cells() && cell < 0; ++c) {
+    for (const auto& s : nl.net(nl.cell(static_cast<int>(c)).out_net).sinks) {
+      if (s.cell != static_cast<int>(c)) {
+        cell = static_cast<int>(c);
+        loop_net = nl.cell(s.cell).out_net;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(cell, 0);
+  expect_rewire_rejected(no_spef, cell, 0, loop_net, "combinational cycle");
+}
+
 // --- Duplicate net names ----------------------------------------------------
 
 TEST_F(ServeTest, DuplicateNetNameQueriesAreRejected) {
