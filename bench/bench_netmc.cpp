@@ -1,11 +1,11 @@
 // Table-III-style circuit-level comparison for the sharded netlist Monte
 // Carlo: on each design the golden reference is now the whole-netlist MC
 // (every gate and wire drawn per sample), compared against
-//   Analytic   — StatisticalSta Clark-max propagation (mean +/- 3 sigma)
+//   Analytic   — Gaussian block SSTA: AnalyticSsta with moment_shaping off
+//                (worst-PO +3 sigma)
 //   Path Eq.10 — N-sigma quantiles of the nominal critical path
 // with signed +3-sigma errors and runtimes. The netlist MC also reports its
-// empirical worst-PO skew/kurtosis, which the Gaussian analytic propagator
-// cannot produce.
+// empirical worst-PO skew, which the Gaussian propagator cannot produce.
 //
 // Default mode runs a small subset; NSDC_FULL=1 runs more designs at
 // paper-scale sample counts.
@@ -13,7 +13,7 @@
 #include "netlist/designgen.hpp"
 #include "sta/annotate.hpp"
 #include "sta/netmc.hpp"
-#include "sta/statprop.hpp"
+#include "sta/ssta_analytic.hpp"
 #include "sta/timer.hpp"
 
 using namespace nsdc;
@@ -45,7 +45,9 @@ int main() {
   const CellLibrary cells = CellLibrary::standard();
   const CharLib charlib = shared_charlib(tech, cells);
   const NSigmaTimer timer(charlib, cells, tech);
-  const StatisticalSta ssta(timer.cell_model(), timer.wire_model(), tech);
+  AnalyticSstaOptions gauss;
+  gauss.moment_shaping = false;
+  const AnalyticSsta ssta(timer.cell_model(), timer.wire_model(), tech, gauss);
   const NetlistMonteCarlo netmc(timer.cell_model(), timer.wire_model(), tech);
 
   std::vector<std::string> designs = {"C432", "ADD", "MUL"};
@@ -70,14 +72,15 @@ int main() {
     const auto mc = netmc.run(nl, spef, cfg);
 
     const double mc_p3 = mc.worst_po_quantiles[6];
-    const double e_ssta = pct_err(an.worst.quantile(3.0), mc_p3);
+    const double an_p3 = an.worst_po_quantiles[6];
+    const double e_ssta = pct_err(an_p3, mc_p3);
     const double e_path = pct_err(analysis.quantiles[6], mc_p3);
     t.add_row({name, std::to_string(nl.num_cells()),
                format_fixed(to_ps(mc.worst_po_quantiles[0]), 0),
                format_fixed(to_ps(mc.worst_po_moments.mu), 0),
                format_fixed(to_ps(mc_p3), 0),
                format_fixed(mc.worst_po_moments.gamma, 2),
-               format_fixed(to_ps(an.worst.quantile(3.0)), 0),
+               format_fixed(to_ps(an_p3), 0),
                format_fixed(to_ps(analysis.quantiles[6]), 0),
                format_fixed(e_ssta, 1), format_fixed(e_path, 1),
                format_fixed(mc.runtime_seconds, 2),
@@ -93,9 +96,10 @@ int main() {
   t.print(std::cout);
   t.save_csv("netmc_comparison.csv");
 
-  std::cout << "\nShape check: the analytic SSTA +3s should land within "
-               "~10-15% of the netlist-MC quantile (Clark max biases high "
-               "on deep reconvergent designs, Gaussian tails bias low), "
+  std::cout << "\nShape check: the Gaussian SSTA +3s should land ~5-15% "
+               "below the netlist-MC quantile (it propagates the same "
+               "frozen arcs but drops the calibrated skew the MC skew "
+               "column shows, so its upper tail sits low), "
                "while the single-path Eq. 10 number overshoots by design: "
                "it cascades per-stage +3s quantiles, i.e. assumes fully "
                "correlated stages, where the ensemble's local half of the "

@@ -28,7 +28,8 @@ namespace nsdc {
 class FlatTimingGraph;
 struct FlatArcRecords;
 
-/// Execution policy for StaEngine / StatisticalSta.
+/// Execution policy for StaEngine and for the engines that run it as their
+/// nominal pass (NetlistMonteCarlo, AnalyticSsta, IncrementalSta).
 struct StaConfig {
   ExecContext exec{};
   /// Below this many cells the engine runs serially on the calling thread.

@@ -11,10 +11,11 @@
 // GateNetlist + ParasiticDb. Cell delays are sampled from the calibrated
 // N-sigma moment surfaces (mu/sigma with an optional Cornish-Fisher
 // gamma/kappa shaping); wire delays scale Elmore by the Eq. 7 variability
-// X_w. The same `stage_correlation` variance split as StatisticalSta makes
-// this the exact sampling counterpart of the analytic propagator: the two
-// should agree at the mean/sigma level, and the residual is Clark's
-// approximation error.
+// X_w. The same die-to-die variance split and the same frozen per-arc
+// inputs as AnalyticSsta make this the exact sampling counterpart of the
+// analytic propagator: the two should agree moment by moment within
+// sampling error, and the residual is the analytic max's approximation
+// error.
 //
 // Sharding/determinism contract (same as PathMonteCarlo): samples shard
 // across the persistent ThreadPool with counter-based per-sample RNG
@@ -46,8 +47,8 @@ namespace nsdc {
 /// Model/scheduling knobs of the netlist MC (execution policy — samples,
 /// seed, pool, lanes — comes from the shared McConfig instead).
 struct NetMcOptions {
-  /// Die-to-die share of every delay's variance (StatisticalSta's
-  /// stage_correlation): z = sqrt(rho)*z_global + sqrt(1-rho)*z_local.
+  /// Die-to-die share of every delay's variance (as in
+  /// AnalyticSstaOptions): z = sqrt(rho)*z_global + sqrt(1-rho)*z_local.
   double die_to_die_share = 0.5;
   /// Multiplies every sigma (cell and wire). 0 collapses the sampler onto
   /// the nominal mean engine — the hook for the mean-sanity tests.

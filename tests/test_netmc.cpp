@@ -23,7 +23,6 @@
 #include "netlist/designgen.hpp"
 #include "sta/annotate.hpp"
 #include "sta/engine.hpp"
-#include "sta/statprop.hpp"
 #include "synthetic_charlib.hpp"
 
 namespace nsdc {
@@ -199,27 +198,6 @@ TEST_F(NetMcTest, ResultStructureIsConsistent) {
   EXPECT_EQ(res.worst_po, worst_po);
   EXPECT_EQ(res.worst_po_moments.mu, worst_mean);
   EXPECT_GT(res.shards, 0u);
-}
-
-TEST_F(NetMcTest, AgreesWithStatisticalStaOnMeanAndSigma) {
-  // The netlist MC is the sampling counterpart of the analytic Clark-max
-  // propagator: same moment surfaces, same rho split. The empirical
-  // circuit-delay mean sits between the nominal max arrival (E[max] >=
-  // max E) and the Clark-max mean, which overshoots on deep reconvergent
-  // designs (every max node adds a positive theta*phi increment, and
-  // statprop's slew model is the pin-0 simplification); the sigmas agree
-  // to within the Clark/shaping approximation gap.
-  const auto mc = run_at(2, 0, 512);
-  const StaEngine engine(model, tech);
-  const auto nom = engine.run(netlist, parasitics);
-  StatisticalSta::Config cfg;
-  cfg.stage_correlation = 0.5;
-  const StatisticalSta ssta(model, wire_model, tech, cfg);
-  const auto an = ssta.run(netlist, parasitics);
-  EXPECT_GT(mc.circuit_moments.mu, 0.98 * nom.max_arrival);
-  EXPECT_LT(mc.circuit_moments.mu, 1.05 * an.worst.mean);
-  EXPECT_GT(mc.circuit_moments.sigma, 0.2 * an.worst.sigma());
-  EXPECT_LT(mc.circuit_moments.sigma, 5.0 * an.worst.sigma());
 }
 
 // ------------------------------------------------- golden c17 regression --

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "core/yield.hpp"
+#include "sta/engine.hpp"
 #include "synthetic_charlib.hpp"
 
 namespace nsdc {
@@ -133,6 +137,36 @@ TEST_F(PathDelayTest, QuantilesIncreaseWithLevel) {
     EXPECT_GT(q[static_cast<std::size_t>(lv)],
               q[static_cast<std::size_t>(lv - 1)]);
   }
+}
+
+// ----------------------------------------------------------------- yield
+
+TEST_F(PathDelayTest, YieldInvertsQuantiles) {
+  const TechParams tech = TechParams::nominal28();
+  GateNetlist nl("y");
+  int net = nl.add_primary_input("a");
+  for (int i = 0; i < 4; ++i) {
+    const int g = nl.add_cell("u" + std::to_string(i), cells.by_name("INVx2"),
+                              {net}, "w" + std::to_string(i));
+    net = nl.cell(g).out_net;
+  }
+  nl.mark_primary_output(net);
+  ParasiticDb empty;
+  StaEngine engine(cell_model, tech);
+  const auto res = engine.run(nl, empty);
+  const auto path = engine.extract_critical_path(nl, res);
+
+  const auto q = calc.path_quantiles(path);
+  EXPECT_NEAR(timing_yield(calc, path, q[6]), 0.99865, 1e-3);
+  EXPECT_NEAR(timing_yield(calc, path, q[3]), 0.5, 1e-3);
+  EXPECT_NEAR(timing_yield(calc, path, q[0]), 0.00135, 1e-3);
+  // Outside the modeled range.
+  EXPECT_LT(timing_yield(calc, path, 0.0), 1e-6);
+  EXPECT_GT(timing_yield(calc, path, 1.0), 1.0 - 1e-6);
+  // Inverse query round-trips.
+  const double p99 = period_for_yield(calc, path, 0.99);
+  EXPECT_NEAR(timing_yield(calc, path, p99), 0.99, 1e-6);
+  EXPECT_THROW(period_for_yield(calc, path, 1.5), std::domain_error);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // against the NetlistMonteCarlo golden within sample-count-derived
 // standard-error bounds (never hand-tuned epsilons), N-sigma quantile
 // agreement, byte-identity across thread counts, property tests of the
-// moment algebra, and a golden c17 CSV regression. Regenerate the golden
-// after an *intentional* model change with:
+// moment algebra, Clark's exact Gaussian max as the oracle of the Gaussian
+// mode (moment_shaping = false), and a golden c17 CSV regression.
+// Regenerate the golden after an *intentional* model change with:
 //   NSDC_REGEN_GOLDEN=1 ./tests/test_ssta_analytic
 #include "sta/ssta_analytic.hpp"
 
@@ -14,10 +15,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <numbers>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/pathdelay.hpp"
 #include "netlist/benchio.hpp"
 #include "netlist/designgen.hpp"
 #include "sta/annotate.hpp"
@@ -25,6 +28,7 @@
 #include "sta/netmc.hpp"
 #include "stats/quantiles.hpp"
 #include "synthetic_charlib.hpp"
+#include "util/rng.hpp"
 
 namespace nsdc {
 namespace {
@@ -118,10 +122,13 @@ struct Fixture {
   }
 };
 
-// Per-net-edge moment comparison within SE-derived bounds.
+// Per-net-edge moment comparison within SE-derived bounds. With
+// `shape_checks` off only mu and sigma are compared: Gaussian stages carry
+// no calibrated skew for the gamma/kappa direction checks to exercise.
 void expect_moment_equivalence(const AnalyticSsta::Result& an,
                                const NetlistMonteCarlo::Result& mc,
-                               double n_samples, const std::string& what) {
+                               double n_samples, const std::string& what,
+                               bool shape_checks = true) {
   ASSERT_EQ(an.nets.size(), mc.nets.size()) << what;
   int significant_gamma = 0;
   for (std::size_t n = 0; n < mc.nets.size(); ++n) {
@@ -142,6 +149,7 @@ void expect_moment_equivalence(const AnalyticSsta::Result& an,
           << what << " mu, net " << n << " edge " << e;
       EXPECT_NEAR(a.sigma, g.sigma, kZ * se_sigma(g, n_samples) + 1e-18)
           << what << " sigma, net " << n << " edge " << e;
+      if (!shape_checks) continue;
       // gamma/kappa: direction consistency wherever the MC statistic is
       // significant at the same kZ level.
       if (std::fabs(g.gamma) > kZ * se_gamma(n_samples)) {
@@ -159,7 +167,9 @@ void expect_moment_equivalence(const AnalyticSsta::Result& an,
   }
   // The comparison must actually exercise the skewness direction check
   // somewhere — the synthetic library is built skewed.
-  EXPECT_GT(significant_gamma, 0) << what;
+  if (shape_checks) {
+    EXPECT_GT(significant_gamma, 0) << what;
+  }
 }
 
 // ---------------------------------------------- MC equivalence: moments --
@@ -192,6 +202,22 @@ TEST(SstaAnalyticEquivalence, MomentsMatchMcOnRandomMapped) {
   const auto an = f.run_analytic(nl, spef);
   const auto mc = f.run_mc(nl, spef, kMomentSamples);
   expect_moment_equivalence(an, mc, kMomentSamples, "random-500");
+}
+
+TEST(SstaAnalyticEquivalence, GaussianModeMeanSigmaMatchMcOnC432Like) {
+  // The Gaussian rung: both engines draw Gaussian cell delays at the
+  // default die-to-die share 0.5.
+  const Fixture f;
+  const GateNetlist nl = generate_iscas_like("C432", f.cells);
+  const ParasiticDb spef = generate_parasitics(nl, f.tech);
+  AnalyticSstaOptions aopt;
+  aopt.moment_shaping = false;
+  NetMcOptions mopt;
+  mopt.moment_shaping = false;
+  const auto an = f.run_analytic(nl, spef, aopt);
+  const auto mc = f.run_mc(nl, spef, kMomentSamples, 0, mopt);
+  expect_moment_equivalence(an, mc, kMomentSamples, "C432-like Gaussian",
+                            /*shape_checks=*/false);
 }
 
 // -------------------------------------------- MC equivalence: quantiles --
@@ -316,33 +342,35 @@ TEST(SstaAnalyticDeterminism, ByteIdenticalAcrossThreadCounts) {
   const GateNetlist nl = generate_random_mapped(spec, f.cells);
   const ParasiticDb spef = generate_parasitics(nl, f.tech);
 
-  auto run_at = [&](unsigned threads) {
-    AnalyticSstaOptions opt;
-    opt.sta.exec.threads = threads;
-    opt.sta.min_parallel_cells = 1;  // force the pool even on small designs
-    return f.run_analytic(nl, spef, opt);
-  };
-  const auto ref = run_at(1);
-  for (unsigned t : {4u, 16u}) {
-    const auto got = run_at(t);
-    ASSERT_EQ(got.nets.size(), ref.nets.size());
-    for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-      for (std::size_t e = 0; e < 2; ++e) {
-        ASSERT_EQ(got.nets[n][e].reachable, ref.nets[n][e].reachable);
-        ASSERT_EQ(got.nets[n][e].moments.mu, ref.nets[n][e].moments.mu)
-            << t << " threads, net " << n;
-        ASSERT_EQ(got.nets[n][e].moments.sigma, ref.nets[n][e].moments.sigma)
-            << t << " threads, net " << n;
-        ASSERT_EQ(got.nets[n][e].moments.gamma, ref.nets[n][e].moments.gamma)
-            << t << " threads, net " << n;
-        ASSERT_EQ(got.nets[n][e].moments.kappa, ref.nets[n][e].moments.kappa)
-            << t << " threads, net " << n;
+  for (const bool shaping : {true, false}) {
+    SCOPED_TRACE(shaping ? "moment_shaping" : "Gaussian");
+    auto run_at = [&](unsigned threads) {
+      AnalyticSstaOptions opt;
+      opt.moment_shaping = shaping;
+      opt.sta.exec.threads = threads;
+      opt.sta.min_parallel_cells = 1;  // force the pool even on small designs
+      return f.run_analytic(nl, spef, opt);
+    };
+    const auto ref = run_at(1);
+    for (unsigned t : {4u, 16u}) {
+      const auto got = run_at(t);
+      ASSERT_EQ(got.nets.size(), ref.nets.size());
+      for (std::size_t n = 0; n < ref.nets.size(); ++n) {
+        for (std::size_t e = 0; e < 2; ++e) {
+          const Moments& gm = got.nets[n][e].moments;
+          const Moments& rm = ref.nets[n][e].moments;
+          ASSERT_EQ(got.nets[n][e].reachable, ref.nets[n][e].reachable);
+          ASSERT_EQ(gm.mu, rm.mu) << t << " threads, net " << n;
+          ASSERT_EQ(gm.sigma, rm.sigma) << t << " threads, net " << n;
+          ASSERT_EQ(gm.gamma, rm.gamma) << t << " threads, net " << n;
+          ASSERT_EQ(gm.kappa, rm.kappa) << t << " threads, net " << n;
+        }
       }
-    }
-    ASSERT_EQ(got.worst_po, ref.worst_po);
-    for (std::size_t l = 0; l < 7; ++l) {
-      ASSERT_EQ(got.worst_po_quantiles[l], ref.worst_po_quantiles[l]);
-      ASSERT_EQ(got.circuit_quantiles[l], ref.circuit_quantiles[l]);
+      ASSERT_EQ(got.worst_po, ref.worst_po);
+      for (std::size_t l = 0; l < 7; ++l) {
+        ASSERT_EQ(got.worst_po_quantiles[l], ref.worst_po_quantiles[l]);
+        ASSERT_EQ(got.circuit_quantiles[l], ref.circuit_quantiles[l]);
+      }
     }
   }
 }
@@ -476,6 +504,208 @@ TEST(SstaMomentAlgebra, ZeroVarianceEngineReducesToMeanEngine) {
       EXPECT_EQ(an.po_quantiles[p][l], an.po_moments[p].mu);
     }
   }
+}
+
+// ------------------------------------------- Clark's exact Gaussian max --
+
+/// Clark's mean/variance of max(A, B) for jointly Gaussian A, B with
+/// correlation rho — exact for Gaussian inputs, so it is the oracle of the
+/// engine's Gaussian mode.
+struct ClarkMax {
+  double mean = 0.0;
+  double var = 0.0;
+};
+
+ClarkMax clark_max(double mean_a, double var_a, double mean_b, double var_b,
+                   double rho) {
+  const double theta2 =
+      std::max(var_a + var_b - 2.0 * rho * std::sqrt(var_a * var_b), 0.0);
+  ClarkMax out;
+  if (theta2 < 1e-40) {
+    // Degenerate: (anti)perfectly correlated equal-variance inputs.
+    out.mean = std::max(mean_a, mean_b);
+    out.var = mean_a >= mean_b ? var_a : var_b;
+    return out;
+  }
+  const double theta = std::sqrt(theta2);
+  const double alpha = (mean_a - mean_b) / theta;
+  const double phi = normal_pdf(alpha);
+  const double big_phi = normal_cdf(alpha);
+  out.mean = mean_a * big_phi + mean_b * (1.0 - big_phi) + theta * phi;
+  const double second =
+      (var_a + mean_a * mean_a) * big_phi +
+      (var_b + mean_b * mean_b) * (1.0 - big_phi) +
+      (mean_a + mean_b) * theta * phi;
+  out.var = std::max(second - out.mean * out.mean, 0.0);
+  return out;
+}
+
+TEST(ClarkMax, DominantInputWins) {
+  // When A sits 10 sigma above B, max ~= A.
+  const ClarkMax m = clark_max(100.0, 1.0, 0.0, 1.0, 0.0);
+  EXPECT_NEAR(m.mean, 100.0, 1e-6);
+  EXPECT_NEAR(m.var, 1.0, 1e-3);
+}
+
+TEST(ClarkMax, EqualIndependentGaussians) {
+  // max of two iid N(0,1): mean = 1/sqrt(pi), var = 1 - 1/pi.
+  const ClarkMax m = clark_max(0.0, 1.0, 0.0, 1.0, 0.0);
+  EXPECT_NEAR(m.mean, 1.0 / std::sqrt(std::numbers::pi), 1e-9);
+  EXPECT_NEAR(m.var, 1.0 - 1.0 / std::numbers::pi, 1e-9);
+}
+
+TEST(ClarkMax, PerfectlyCorrelatedDegenerate) {
+  const ClarkMax m = clark_max(5.0, 4.0, 3.0, 4.0, 1.0);
+  EXPECT_NEAR(m.mean, 5.0, 1e-9);
+  EXPECT_NEAR(m.var, 4.0, 1e-9);
+}
+
+TEST(ClarkMax, MatchesMonteCarlo) {
+  // Correlated pair via shared component.
+  const double rho = 0.6;
+  Rng rng(7);
+  MomentAccumulator acc;
+  for (int i = 0; i < 400000; ++i) {
+    const double shared = rng.normal();
+    const double a = 1.0 + 2.0 * (std::sqrt(rho) * shared +
+                                  std::sqrt(1 - rho) * rng.normal());
+    const double b = 1.5 + 1.0 * (std::sqrt(rho) * shared +
+                                  std::sqrt(1 - rho) * rng.normal());
+    acc.add(std::max(a, b));
+  }
+  const ClarkMax m = clark_max(1.0, 4.0, 1.5, 1.0, rho);
+  const Moments mc = acc.moments();
+  EXPECT_NEAR(m.mean, mc.mu, 0.01);
+  EXPECT_NEAR(std::sqrt(m.var), mc.sigma, 0.02);
+}
+
+TEST(SstaAnalyticGaussian, TwoInputReconvergenceMatchesClark) {
+  // a -> k x INVx1 -> n1 and a -> 3 x INVx1 -> n2 reconverge at
+  // NAND2x1(n1, n2) -> y. In Gaussian mode at variation_scale 0.25 every
+  // stage sits >= 13 sigma above the max(0, .) clamp, beyond every
+  // quadrature node, so each stage is exactly mu + sigma * z with
+  // z = sqrt(rho) G + sqrt(1 - rho) z_i, and the two NAND inputs are
+  // jointly Gaussian: Clark's max is then exact. Both NAND arcs share the
+  // cell's one local draw. k = 1 leaves n2's branch ~14 sigma ahead (pins
+  // the series sums and the rho split); k = 3 balances the branches at
+  // alpha = 0 (pins the theta * phi term and the shared-draw covariance).
+  const Fixture f(/*full=*/false);
+  const CellType& inv = f.cells.by_name("INVx1");
+  constexpr double kScale = 0.25;
+  for (const int k : {1, 3}) {
+    GateNetlist nl("reconv");
+    const int a = nl.add_primary_input("a");
+    auto inverter_chain = [&](const std::string& tag, int len) {
+      int net = a;
+      for (int i = 0; i < len; ++i) {
+        const std::string id = tag + std::to_string(i);
+        net = nl.cell(nl.add_cell("u" + id, inv, {net}, "n" + id)).out_net;
+      }
+      return net;
+    };
+    const int n1 = inverter_chain("a", k);
+    const int n2 = inverter_chain("b", 3);
+    const int nand =
+        nl.add_cell("g", f.cells.by_name("NAND2x1"), {n1, n2}, "y");
+    const auto y = static_cast<std::size_t>(nl.cell(nand).out_net);
+    nl.mark_primary_output(static_cast<int>(y));
+    const ParasiticDb empty;
+    const StaEngine engine(f.model, f.tech);
+    const auto nom = engine.run(nl, empty);
+
+    // The engine's frozen per-arc inputs: the model's moments at the
+    // nominal fanin slew and output load, sigma scaled by variation_scale.
+    auto stage = [&](int cell, int pin, bool in_rising) {
+      const CellInst& inst = nl.cell(cell);
+      const auto fan = static_cast<std::size_t>(
+          inst.fanin_nets[static_cast<std::size_t>(pin)]);
+      Moments m = f.model.moments(
+          inst.type->name(), pin, in_rising,
+          nom.nets[fan].slew[in_rising ? 0 : 1],
+          nom.net_load[static_cast<std::size_t>(inst.out_net)]);
+      m.sigma *= kScale;
+      EXPECT_GE(m.mu, 13.0 * m.sigma) << inst.name;
+      return m;
+    };
+    // A path's mean, sum of sigmas and sum of variances.
+    struct PathSum {
+      double mu = 0.0, s = 0.0, s2 = 0.0;
+      void add(const Moments& m) {
+        mu += m.mu;
+        s += m.sigma;
+        s2 += m.sigma * m.sigma;
+      }
+    };
+    // Stages of the inverter chain from `a` to the given edge of `net`.
+    auto chain_sum = [&](int net, bool rising) {
+      PathSum p;
+      for (int drv = nl.net(net).driver_cell; drv >= 0;
+           drv = nl.net(net).driver_cell) {
+        rising = !rising;  // input edge of the inverter
+        p.add(stage(drv, 0, rising));
+        net = nl.cell(drv).fanin_nets[0];
+      }
+      return p;
+    };
+
+    for (const double rho : {0.0, 0.2, 0.5, 0.8}) {
+      AnalyticSstaOptions opt;
+      opt.moment_shaping = false;
+      opt.variation_scale = kScale;
+      opt.die_to_die_share = rho;
+      const auto an = f.run_analytic(nl, empty, opt);
+      for (std::size_t e = 0; e < 2; ++e) {
+        const bool in_rising = e != 0;  // the NAND inverts
+        const Moments p0 = stage(nand, 0, in_rising);
+        const Moments p1 = stage(nand, 1, in_rising);
+        PathSum pa = chain_sum(n1, in_rising);
+        PathSum pb = chain_sum(n2, in_rising);
+        pa.add(p0);
+        pb.add(p1);
+        const double var_a = rho * pa.s * pa.s + (1.0 - rho) * pa.s2;
+        const double var_b = rho * pb.s * pb.s + (1.0 - rho) * pb.s2;
+        const double cov =
+            rho * pa.s * pb.s + (1.0 - rho) * p0.sigma * p1.sigma;
+        const ClarkMax want = clark_max(pa.mu, var_a, pb.mu, var_b,
+                                        cov / std::sqrt(var_a * var_b));
+        const Moments& got = an.nets[y][e].moments;
+        EXPECT_NEAR(got.mu, want.mean, 1e-13 * want.mean)
+            << "k " << k << " rho " << rho << " edge " << e;
+        EXPECT_NEAR(got.sigma * got.sigma, want.var, 1e-12 * want.var)
+            << "k " << k << " rho " << rho << " edge " << e;
+      }
+    }
+  }
+}
+
+TEST(SstaAnalyticGaussian, GraphMaxBelowQuantileSumAtPlus3) {
+  // For weakly correlated stages, the block-based Gaussian +3s must sit
+  // below the path-based per-stage quantile sum of Eq. 10 (statistical
+  // averaging), but above the path median.
+  const Fixture f(/*full=*/false);
+  GateNetlist nl("cmp");
+  int net = nl.add_primary_input("a");
+  for (int i = 0; i < 8; ++i) {
+    const std::string id = std::to_string(i);
+    const int g = nl.add_cell("u" + id, f.cells.by_name("NAND2x2"),
+                              {net, net}, "w" + id);
+    net = nl.cell(g).out_net;
+  }
+  nl.mark_primary_output(net);
+  const ParasiticDb empty;
+
+  AnalyticSstaOptions opt;
+  opt.moment_shaping = false;
+  opt.die_to_die_share = 0.2;
+  const auto an = f.run_analytic(nl, empty, opt);
+
+  const StaEngine engine(f.model, f.tech);
+  const auto nom = engine.run(nl, empty);
+  const auto path = engine.extract_critical_path(nl, nom);
+  const PathDelayCalculator calc(f.model, f.wire_model);
+  const auto q = calc.path_quantiles(path);
+  EXPECT_LT(an.worst_po_quantiles[6], q[6]);
+  EXPECT_GT(an.worst_po_quantiles[6], q[3]);
 }
 
 // ------------------------------------------------- golden c17 regression --

@@ -11,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REGEX="Threading|ThreadPool|Sta|NetMc|Netlist|GoldenSta|Statistical|Lint|Spef|Bench|Incremental|Mutator|TimingSizer|Fault|CancellationToken|Moments|Ssta|FlatGraph|Serve|Wire|Argparse|CliValidation|Dist|RetryPolicy|RcTree|DesignGen"
+REGEX="Threading|ThreadPool|Sta|NetMc|Netlist|GoldenSta|PathDelay|Lint|Spef|Bench|Incremental|Mutator|TimingSizer|Fault|CancellationToken|Moments|Ssta|FlatGraph|Serve|Wire|Argparse|CliValidation|Dist|RetryPolicy|RcTree|DesignGen"
 SANS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -23,7 +23,7 @@ done
 [[ ${#SANS[@]} -gt 0 ]] || SANS=(tsan asan ubsan)
 
 TARGETS=(test_util test_threading test_netlist test_sta test_netmc
-         test_statprop test_golden_sta test_lint test_incremental
+         test_pathdelay test_golden_sta test_lint test_incremental
          test_spef test_benchio test_faultinject test_moments
          test_ssta_analytic test_analysis test_flatgraph test_serve
          test_dist test_rctree test_designgen)
