@@ -153,10 +153,11 @@ IntervalResult propagate_intervals(const AnalysisInput& input,
   for (Id l = 0; l < graph.num_levels(); ++l) {
     options.exec.check_cancel();
     const Id begin = graph.level_begin(l);
-    options.exec.parallel_for(graph.level_end(l) - begin, [&](std::size_t i) {
-      propagate_one_cell(graph, rec, input, options, annotated,
-                         begin + static_cast<Id>(i), scale, out);
-    });
+    options.exec.parallel_for_autotuned(
+        graph.level_end(l) - begin, [&](std::size_t i) {
+          propagate_one_cell(graph, rec, input, options, annotated,
+                             begin + static_cast<Id>(i), scale, out);
+        });
   }
 
   // Reachable primary outputs, ascending net id; worst-edge bounds.

@@ -6,9 +6,10 @@
 // calculators.
 //
 // Propagation runs level-by-level with a barrier between levels: cells in
-// the same level have no mutual dependencies, so each level fans out over
-// the thread pool. Every cell writes only its own output net's slot and
-// reads only lower-level slots, which makes the parallel result
+// the same level have no mutual dependencies, so each level wide enough to
+// pay for a pool round trip fans out over the thread pool (narrower ones
+// run inline on the caller). Every cell writes only its own output net's
+// slot and reads only lower-level slots, which makes the parallel result
 // bit-identical to the serial one for any thread count. Designs below
 // StaConfig::min_parallel_cells stay on the serial path (fork-join
 // overhead dominates on small graphs).

@@ -7,6 +7,7 @@
 
 #include "core/nsigma_wire.hpp"
 #include "util/cancel.hpp"
+#include "util/faultinject.hpp"
 
 namespace nsdc {
 
@@ -231,10 +232,13 @@ StaEngine::Result StaEngine::run(const FlatTimingGraph& graph,
   flat_kernel::bind_arc_records(graph, model_, res, exec, rec);
 
   for (FlatTimingGraph::Id l = 0; l < graph.num_levels(); ++l) {
+    fault_fire("sta.level", l, exec.cancel);
     const FlatTimingGraph::Id begin = graph.level_begin(l);
     const FlatTimingGraph::Id end = graph.level_end(l);
-    // Autotuned grain (see ExecContext::autotuned_grain): level-width
-    // blocks amortize the global-queue transaction per level.
+    // A level narrower than two minimum blocks runs inline on this thread;
+    // a wider one splits into at most one block per lane
+    // (ExecContext::parallel_for_autotuned). Either way the token is
+    // polled once per block.
     exec.parallel_for_autotuned(end - begin, [&](std::size_t i) {
       flat_kernel::flat_propagate_cell(
           graph, rec, model_, begin + static_cast<FlatTimingGraph::Id>(i),

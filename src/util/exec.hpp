@@ -20,19 +20,27 @@ struct ExecContext {
   /// Cooperative cancellation/deadline/sample-budget token; nullptr means
   /// the run cannot be cancelled. Non-owning — the token must outlive
   /// every loop issued through this context. The parallel_for wrappers
-  /// poll it once per index (per chunk for the chunked variant) and abort
-  /// by throwing nsdc::CancelledError through the pool's normal
-  /// first-exception rethrow, so a cancelled pool stays reusable.
+  /// poll it once per index (per block for the chunked and autotuned
+  /// variants) and abort by throwing nsdc::CancelledError through the
+  /// pool's normal first-exception rethrow, so a cancelled pool stays
+  /// reusable.
   CancellationToken* cancel = nullptr;
   /// Lane count for partitioning; 0 means default_threads().
   unsigned threads = 0;
-  /// Grain override for parallel_for_chunked: when nonzero it replaces the
-  /// caller's per-call grain. 0 defers to the NSDC_GRAIN environment
-  /// variable, then to the per-call default. Grain affects scheduling
-  /// only — callers that accumulate per chunk must derive their reduction
-  /// structure from the index space, never from chunk boundaries, so
-  /// results stay bit-identical at every grain setting.
+  /// Grain override for parallel_for_chunked and parallel_for_autotuned:
+  /// when nonzero it replaces the caller's per-call grain (for the
+  /// autotuned loop, its minimum block). 0 defers to the NSDC_GRAIN
+  /// environment variable, then to the per-call default. Grain affects
+  /// scheduling only — callers that accumulate per chunk must derive their
+  /// reduction structure from the index space, never from chunk
+  /// boundaries, so results stay bit-identical at every grain setting.
   std::size_t grain = 0;
+
+  /// parallel_for_autotuned's default minimum block. A batch of fewer than
+  /// two blocks runs inline on the calling thread: below that, a pool
+  /// round trip (~8 us) costs more than the work it would spread (a
+  /// 10-cell STA level is ~2 us).
+  static constexpr std::size_t kAutotunedMinBlock = 256;
 
   /// The lane count this context resolves to (>= 1).
   unsigned resolved_threads() const;
@@ -41,13 +49,6 @@ struct ExecContext {
   /// `call_grain`: the explicit `grain` field wins, then NSDC_GRAIN (read
   /// per call so tests and sweeps can vary it), then `call_grain`.
   std::size_t resolved_grain(std::size_t call_grain) const;
-
-  /// Autotuned per-call grain for a batch of `count` uniform items over
-  /// `lanes` lanes: enough blocks per lane (8) that dynamic claiming
-  /// load-balances, but never single-index blocks on wide batches — the
-  /// fix for per-level STA dispatch paying one global-queue transaction
-  /// per cell. Pure arithmetic; affects scheduling only, never results.
-  static std::size_t autotuned_grain(std::size_t count, unsigned lanes);
 
   /// This context with its lane count replaced when `override_threads` is
   /// nonzero — the idiom for configs that keep a legacy `threads` field.
@@ -63,9 +64,13 @@ struct ExecContext {
       std::size_t count, std::size_t grain,
       const std::function<void(std::size_t, std::size_t)>& fn) const;
 
-  /// parallel_for with an autotuned_grain(count, lanes) per-call default —
-  /// the dispatch for per-level batches (STA propagation) whose per-index
-  /// work is small. Explicit `grain` / NSDC_GRAIN still override.
+  /// The dispatch for per-level batches (STA and interval propagation)
+  /// whose per-index work is small. With a minimum block of
+  /// resolved_grain(kAutotunedMinBlock) indices — so an explicit `grain`
+  /// or NSDC_GRAIN replaces the floor — the batch splits into
+  /// min(lanes, count / block) equal blocks; when that is one block, fn
+  /// runs inline on the calling thread after a single cancellation poll.
+  /// Returns blocks used (1 for the inline path).
   unsigned parallel_for_autotuned(
       std::size_t count, const std::function<void(std::size_t)>& fn) const;
 

@@ -26,6 +26,8 @@
 //   pathmc.sample     index = sample number of the path MC reference
 //   ssta.level        index = levelized barrier of the analytic SSTA
 //                     engine, before that level's tasks dispatch
+//   sta.level         index = level of StaEngine::run's propagation, before
+//                     that level's cells dispatch (inline or on the pool)
 //   checkpoint.write  index = block record being appended (truncate:N cuts
 //                     N bytes off the file after the record is flushed)
 //   analyze.interval  index = net id in the static interval propagation

@@ -45,10 +45,12 @@ std::string repo_path(const std::string& rel) {
 }
 
 /// StaConfig pinned to `threads` lanes with the parallel path forced on
-/// (the default min_parallel_cells would keep these designs serial).
+/// (the default min_parallel_cells would keep these designs serial, and
+/// the autotuned minimum block would run their narrow levels inline).
 StaConfig exec_config(unsigned threads) {
   StaConfig cfg;
   cfg.exec.threads = threads;
+  cfg.exec.grain = 1;
   cfg.min_parallel_cells = threads > 1 ? 1 : 1u << 30;
   return cfg;
 }
@@ -342,6 +344,36 @@ TEST(FlatGraphIdentity, StaEngineMatchesKernelReferenceAt1And4Threads) {
                               ref.annotated[n].total_cap()))
             << what << ": net " << n;
       }
+    }
+  }
+}
+
+// A deep, narrow design (~10 cells per level, with parasitics): at the
+// default grain every level is below the autotuned minimum block and runs
+// inline on the caller; at grain 1 each level spreads over the pool. Both
+// schedules must reproduce the serial kernel walk bit for bit.
+TEST(FlatGraphIdentity, DeepNarrowMatchesKernelReferenceAtEveryLaneAndGrain) {
+  const DesignFixture fx([](const CellLibrary& cells) {
+    RandomNetlistSpec spec;
+    spec.name = "deep_narrow";
+    spec.target_cells = 20000;
+    spec.target_depth = 2000;
+    spec.seed = 11;
+    return generate_random_mapped(spec, cells);
+  });
+  const FlatTimingGraph graph = FlatTimingGraph::compile(fx.nl);
+  ASSERT_GE(graph.num_levels(), 1000u);
+  ASSERT_LE(graph.num_cells(), 20u * graph.num_levels());
+  const StaEngine::Result ref = testfix::reference_sta_run(
+      fx.nl, fx.spef, fx.model, fx.tech, exec_config(1));
+  for (const unsigned lanes : {1u, 2u, 4u, 8u}) {
+    for (const std::size_t grain : {std::size_t{0}, std::size_t{1}}) {
+      StaConfig cfg = exec_config(lanes);
+      cfg.exec.grain = grain;
+      const StaEngine engine(fx.model, fx.tech, cfg);
+      expect_sta_identical(engine.run(fx.nl, fx.spef), ref,
+                           "deep-narrow @" + std::to_string(lanes) +
+                               "t grain " + std::to_string(grain));
     }
   }
 }

@@ -18,10 +18,12 @@ namespace nsdc {
 namespace {
 
 /// StaConfig that actually exercises the pool at `threads` lanes (the
-/// default min_parallel_cells would keep small cones serial).
+/// default min_parallel_cells would keep small cones serial, and the
+/// autotuned minimum block would run narrow levels inline).
 StaConfig exec_config(unsigned threads) {
   StaConfig cfg;
   cfg.exec.threads = threads;
+  cfg.exec.grain = 1;
   cfg.min_parallel_cells = threads > 1 ? 1 : 1u << 30;
   return cfg;
 }

@@ -399,6 +399,7 @@ TEST_F(ServeTest, FourConcurrentClientsByteIdenticalAtOneAndFourThreads) {
     serve::ServiceOptions sopt;
     sopt.sta.exec.pool = &pool;
     sopt.sta.exec.threads = lanes;
+    sopt.sta.exec.grain = 1;  // narrow levels on the pool too
     sopt.sta.min_parallel_cells = lanes > 1 ? 1 : 1u << 30;
     serve::Daemon::Options dopt;
     dopt.pool = &pool;
@@ -460,6 +461,7 @@ TEST_F(ServeTest, EditSessionMatchesOfflineIncrementalSta) {
     serve::ServiceOptions sopt;
     sopt.sta.exec.pool = &pool;
     sopt.sta.exec.threads = lanes;
+    sopt.sta.exec.grain = 1;  // narrow levels on the pool too
     sopt.sta.min_parallel_cells = lanes > 1 ? 1 : 1u << 30;
     serve::Daemon::Options dopt;
     dopt.pool = &pool;
