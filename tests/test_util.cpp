@@ -4,8 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/exec.hpp"
 #include "util/table.hpp"
-#include "util/threading.hpp"
 #include "util/units.hpp"
 
 namespace nsdc {
@@ -79,18 +79,20 @@ TEST(Table, CellOutOfRangeThrows) {
 TEST(Threading, VisitsEveryIndexOnce) {
   const std::size_t n = 1000;
   std::vector<std::atomic<int>> hits(n);
-  parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
+  ExecContext{.threads = 4}.parallel_for(
+      n, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(Threading, ZeroCountIsNoop) {
-  parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
+  ExecContext{}.parallel_for(
+      0, [](std::size_t) { FAIL() << "must not be called"; });
 }
 
 TEST(Threading, SingleThreadFallback) {
   std::vector<int> order;
-  parallel_for(5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); },
-               1);
+  ExecContext{.threads = 1}.parallel_for(
+      5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
