@@ -166,7 +166,7 @@ int main() {
     const ParasiticDb spef = generate_parasitics(nl, tech);
     const auto analysis = timer.analyze(nl, spef);
 
-    PathMcConfig mcc;
+    McConfig mcc;
     mcc.samples = scaled_samples(300, 1500);
     const PathMonteCarlo mc(tech);
     const auto with_waves = mc.run(analysis.critical_path, mcc);

@@ -29,7 +29,7 @@ int main() {
             << nl.num_nets() << " nets; critical path has "
             << analysis.critical_path.num_stages() << " stages.\n\n";
 
-  PathMcConfig mcc;
+  McConfig mcc;
   mcc.samples = scaled_samples(600, 3000);
   mcc.seed = 0xF1611ULL;
   const PathMonteCarlo mc(tech);

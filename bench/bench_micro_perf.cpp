@@ -739,6 +739,7 @@ int run_analysis_perf(const std::string& json_path) {
       sta_s = std::min(
           sta_s, std::chrono::duration<double>(clock::now() - t0).count());
     }
+    const FlatTimingGraph graph = FlatTimingGraph::compile(netlist);
 
     AnalysisInput input;
     input.netlist = &netlist;
@@ -752,14 +753,15 @@ int run_analysis_perf(const std::string& json_path) {
     double iv_s = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
       const auto t0 = clock::now();
-      iv = propagate_intervals(input, aopt, nominal);
+      iv = propagate_intervals(input, aopt, graph, nominal);
       iv_s = std::min(
           iv_s, std::chrono::duration<double>(clock::now() - t0).count());
     }
 
     AnalysisOptions popt;
     popt.exec.threads = 4;
-    const IntervalResult piv = propagate_intervals(input, popt, nominal);
+    const IntervalResult piv =
+        propagate_intervals(input, popt, graph, nominal);
     bool identical = piv.nets.size() == iv.nets.size();
     for (std::size_t n = 0; identical && n < iv.nets.size(); ++n) {
       identical = std::memcmp(&piv.nets[n].arrival, &iv.nets[n].arrival,
@@ -806,14 +808,14 @@ std::size_t heap_bytes_now() {
 }
 
 /// Million-cell-scale throughput/memory gate for the compiled SoA timing
-/// graph: StaEngine on the FlatTimingGraph versus the "legacy" column, a
-/// full pass built from the sta_kernel edit kernel over the GateNetlist
+/// graph: StaEngine on the FlatTimingGraph versus the "legacy" column, the
+/// tests' independent reference pass over the GateNetlist
 /// (testfix::reference_sta_run), on ~100k / ~300k / ~1M-cell generated
 /// designs. Records compile rate, nominal-STA cells/sec on both walks,
 /// bytes/cell (flat arena accounting plus mallinfo2 deltas for both
 /// representations), and verifies the flat results byte-identical to the
-/// kernel walk at 1 and 4 lanes. Fails (exit 1) when the flat path is not
-/// >= 1.3x the kernel walk's throughput on the largest design. A
+/// reference walk at 1 and 4 lanes. Fails (exit 1) when the flat path is
+/// not >= 1.3x the reference walk's throughput on the largest design. A
 /// parasitics-on row times the end-to-end StaEngine::run with RC trees on
 /// the ~100k-cell design against the same call without them (the on/off
 /// ratio), with the same identity checks. The JSON record lands in
@@ -972,7 +974,7 @@ int run_flatgraph_sweep(const std::string& json_path) {
 
   // Parasitics-on row: the end-to-end StaEngine::run(netlist, parasitics)
   // (compile, annotate, bind, propagate) on the ~100k-cell TMUL with
-  // generate_parasitics trees, and the sta_kernel walk, at 1 and 4 lanes,
+  // generate_parasitics trees, and the reference walk, at 1 and 4 lanes,
   // next to the same call without parasitics. Recorded, not gated:
   // annotate still copies every tree per run and resolves sinks by name.
   {
@@ -1039,7 +1041,7 @@ int run_flatgraph_sweep(const std::string& json_path) {
   std::cerr << "[flatgraph-sweep] wrote " << json_path << "\n";
   if (!all_identical) {
     std::cerr << "[flatgraph-sweep] ERROR: flat result diverged from the "
-                 "sta_kernel walk\n";
+                 "reference walk\n";
     return 1;
   }
   if (largest_speedup < 1.3) {

@@ -91,7 +91,7 @@ int main() {
     const auto ml_q = ml_calc.path_quantiles(analysis.critical_path);
     const auto corr_q = corr.path_quantiles(analysis.critical_path);
 
-    PathMcConfig mcc;
+    McConfig mcc;
     mcc.samples = scaled_samples(500, 5000);
     mcc.seed = 0x7AB1E3ULL;
     const PathMonteCarlo mc(tech);

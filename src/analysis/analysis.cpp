@@ -13,7 +13,8 @@
 #include <stdexcept>
 
 #include "analysis/analysis.hpp"
-#include "sta/annotate.hpp"
+#include "netlist/flatgraph.hpp"
+#include "sta/flatsta.hpp"
 #include "util/errors.hpp"
 #include "util/units.hpp"
 
@@ -233,16 +234,19 @@ AnalysisReport run_analysis(const AnalysisInput& input,
   } else if (input.parasitics == nullptr || input.tech == nullptr) {
     prep.interval_skip_reason = "no parasitics/tech for load annotation";
   } else {
+    const FlatTimingGraph graph =
+        FlatTimingGraph::compile(nl, options.exec.cancel);
     annotated.emplace();
     StaEngine::Result& res = *annotated;
     res.nets.resize(nl.num_nets());
     res.annotated.resize(nl.num_nets());
     res.net_load.assign(nl.num_nets(), 0.0);
     options.exec.parallel_for(nl.num_nets(), [&](std::size_t n) {
-      sta_kernel::annotate_net(nl, *input.parasitics, *input.tech, n, res);
+      flat_kernel::flat_annotate_net(graph, nl, *input.parasitics,
+                                     *input.tech, n, res);
     });
     try {
-      prep.intervals = propagate_intervals(input, options, *annotated);
+      prep.intervals = propagate_intervals(input, options, graph, *annotated);
     } catch (const Error&) {
       throw;  // cancellation / injected faults keep their exit contract
     } catch (const std::exception& e) {

@@ -182,8 +182,8 @@ struct VerifyFacts {
 /// Shared facts computed once per run_analysis; passes read them only.
 struct AnalysisPrep {
   StructureFacts structure;
-  /// Annotated trees + loads (sta_kernel::annotate_net); present when
-  /// parasitics and tech are available.
+  /// Annotated trees + loads (flat_kernel::flat_annotate_net); present
+  /// when parasitics and tech are available.
   std::optional<StaEngine::Result> annotated;
   std::optional<IntervalResult> intervals;
   CoverageFacts coverage;
@@ -292,9 +292,11 @@ AnalysisReport run_analysis(const AnalysisInput& input,
 /// The interval propagation alone (the tentpole primitive; also reused by
 /// bench_micro_perf). Requires netlist + parasitics + tech + cell_model +
 /// wire_model and a clean structure — throws std::invalid_argument
-/// otherwise. `annotated` must hold sta_kernel-annotated trees and loads.
+/// otherwise. `graph` must be compiled from input.netlist and `annotated`
+/// annotated on it (flat_annotate_net, or a full StaEngine run).
 IntervalResult propagate_intervals(const AnalysisInput& input,
                                    const AnalysisOptions& options,
+                                   const FlatTimingGraph& graph,
                                    const StaEngine::Result& annotated);
 
 /// Structural facts (Tarjan SCCs, cones, levelization cross-check).

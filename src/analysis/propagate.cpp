@@ -120,6 +120,7 @@ void propagate_one_cell(const FlatTimingGraph& graph,
 
 IntervalResult propagate_intervals(const AnalysisInput& input,
                                    const AnalysisOptions& options,
+                                   const FlatTimingGraph& graph,
                                    const StaEngine::Result& annotated) {
   if (input.netlist == nullptr || input.cell_model == nullptr ||
       input.wire_model == nullptr) {
@@ -133,9 +134,10 @@ IntervalResult propagate_intervals(const AnalysisInput& input,
   IntervalResult out;
   out.nets.assign(nl.num_nets(), NetBounds{});
   using Id = FlatTimingGraph::Id;
-  // Throws on a combinational cycle, like GateNetlist::levelization.
-  const FlatTimingGraph graph =
-      FlatTimingGraph::compile(nl, options.exec.cancel);
+  if (graph.source_generation() != nl.generation()) {
+    throw std::invalid_argument(
+        "propagate_intervals: stale FlatTimingGraph for " + nl.name());
+  }
   out.levels = graph.num_levels();
 
   for (int pi : nl.primary_inputs()) {

@@ -20,10 +20,6 @@
 
 namespace nsdc {
 
-/// Deprecated alias: PathMonteCarlo and NetlistMonteCarlo share one
-/// McConfig (core/mcconfig.hpp). Use McConfig in new code.
-using PathMcConfig = McConfig;
-
 struct PathMcResult {
   std::vector<double> samples;  ///< total path delays (s)
   Moments moments;

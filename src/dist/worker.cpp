@@ -6,12 +6,14 @@
 #include <chrono>
 #include <csignal>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "core/mcconfig.hpp"
 #include "dist/protocol.hpp"
 #include "net/client.hpp"
-#include "sta/engine.hpp"
+#include "netlist/flatgraph.hpp"
+#include "sta/flatsta.hpp"
 #include "sta/netmc.hpp"
 #include "util/errors.hpp"
 #include "util/faultinject.hpp"
@@ -70,36 +72,36 @@ void run_mc_shard(const WorkerConfig& cfg, const DesignBundle& bundle,
 }
 
 /// STA shard: propagate only the fanin cones of sorted-PO indices
-/// [lo, hi), level by level, through the exact sta_kernel functions the
-/// full engine runs. A PO's NetTime depends only on its fanin cone, so
-/// every returned value is byte-identical to the full-netlist run.
+/// [lo, hi), level by level, with the flat_kernel calls StaEngine::run
+/// makes. A PO's NetTime depends only on its fanin cone, so every returned
+/// value is byte-identical to the full-netlist run.
 std::vector<PoTime> run_sta_shard(const WorkerConfig& cfg,
                                   const DesignBundle& bundle,
+                                  const FlatTimingGraph& graph,
                                   const AssignMsg& a,
                                   std::atomic<std::uint64_t>& units) {
+  using Id = FlatTimingGraph::Id;
   const GateNetlist& nl = bundle.netlist;
   const auto& pos = nl.primary_outputs();  // ascending net ids
   const std::size_t lo = std::min(static_cast<std::size_t>(a.lo), pos.size());
   const std::size_t hi = std::min(static_cast<std::size_t>(a.hi), pos.size());
 
-  // Reverse BFS: the cells whose outputs feed the assigned POs.
-  std::vector<char> net_seen(nl.num_nets(), 0);
-  std::vector<char> cell_seen(nl.num_cells(), 0);
-  std::vector<int> stack;
-  for (std::size_t i = lo; i < hi; ++i) {
-    stack.push_back(pos[i]);
-    net_seen[static_cast<std::size_t>(pos[i])] = 1;
-  }
+  // Reverse DFS: the positions whose outputs feed the assigned POs.
+  std::vector<char> pos_seen(graph.num_cells(), 0);
+  std::vector<Id> stack;
+  const auto visit_driver = [&](Id net) {
+    const Id d = graph.net_driver_pos(net);
+    if (d == FlatTimingGraph::kNoId || pos_seen[d]) return;
+    pos_seen[d] = 1;
+    stack.push_back(d);
+  };
+  for (std::size_t i = lo; i < hi; ++i) visit_driver(static_cast<Id>(pos[i]));
   while (!stack.empty()) {
-    const int n = stack.back();
+    const Id d = stack.back();
     stack.pop_back();
-    const int d = nl.net(n).driver_cell;
-    if (d < 0 || cell_seen[static_cast<std::size_t>(d)]) continue;
-    cell_seen[static_cast<std::size_t>(d)] = 1;
-    for (const int f : nl.cell(d).fanin_nets) {
-      if (f >= 0 && !net_seen[static_cast<std::size_t>(f)]) {
-        net_seen[static_cast<std::size_t>(f)] = 1;
-        stack.push_back(f);
+    for (Id arc = graph.fanin_begin(d); arc < graph.fanin_end(d); ++arc) {
+      if (graph.fanin_net(arc) != FlatTimingGraph::kNoId) {
+        visit_driver(graph.fanin_net(arc));
       }
     }
   }
@@ -109,30 +111,35 @@ std::vector<PoTime> run_sta_shard(const WorkerConfig& cfg,
   res.annotated.resize(nl.num_nets());
   res.net_load.assign(nl.num_nets(), 0.0);
   const ExecContext exec = ExecContext{}.with_threads(cfg.threads);
-  // Annotation is net-local; annotating every net (not just the cone)
-  // keeps this loop branch-free and every value matches the full run.
+  // Annotation and binding are net- and arc-local; covering the whole
+  // design keeps them branch-free, and every value matches the full run.
   exec.parallel_for_autotuned(nl.num_nets(), [&](std::size_t n) {
-    sta_kernel::annotate_net(nl, bundle.parasitics, bundle.tech, n, res);
+    flat_kernel::flat_annotate_net(graph, nl, bundle.parasitics, bundle.tech,
+                                   n, res);
   });
-  for (const int pi : nl.primary_inputs()) {
-    auto& nt = res.nets[static_cast<std::size_t>(pi)];
+  for (const Id pi : graph.primary_inputs()) {
+    auto& nt = res.nets[pi];
     nt.reachable = true;
     nt.arrival = {0.0, 0.0};
     nt.slew = {10e-12, 10e-12};
   }
-  const auto& lev = nl.levelization();
-  for (std::size_t li = 0; li < lev.levels.size(); ++li) {
-    std::vector<int> mine;
-    for (const int c : lev.levels[li]) {
-      if (cell_seen[static_cast<std::size_t>(c)]) mine.push_back(c);
+  FlatArcRecords rec;
+  flat_kernel::bind_arc_records(graph, bundle.cell_model, res, exec, rec);
+  // Work unit l is topological level l (graph level l is netlist level l).
+  std::vector<Id> mine;
+  for (Id l = 0; l < graph.num_levels(); ++l) {
+    mine.clear();
+    for (Id p = graph.level_begin(l); p < graph.level_end(l); ++p) {
+      if (pos_seen[p]) mine.push_back(p);
     }
     if (!mine.empty()) {
       exec.parallel_for_autotuned(mine.size(), [&](std::size_t i) {
-        sta_kernel::propagate_cell(nl, bundle.cell_model, mine[i], res);
+        flat_kernel::flat_propagate_cell(graph, rec, bundle.cell_model,
+                                         mine[i], res);
       });
     }
     units.fetch_add(1, std::memory_order_relaxed);
-    fire_kill_site(a.attempt, li);
+    fire_kill_site(a.attempt, l);
   }
 
   std::vector<PoTime> out;
@@ -153,6 +160,7 @@ std::vector<PoTime> run_sta_shard(const WorkerConfig& cfg,
 
 int run_worker(const WorkerConfig& cfg) {
   const DesignBundle bundle = make_bundle(cfg.bundle);
+  std::optional<FlatTimingGraph> graph;  // compiled by the first STA shard
 
   // The coordinator may still be binding its socket when we come up;
   // bounded deterministic backoff instead of a first-connect failure.
@@ -218,7 +226,8 @@ int run_worker(const WorkerConfig& cfg) {
     done.attempt = a.attempt;
     try {
       if (cfg.mode == "sta") {
-        done.po_times = run_sta_shard(cfg, bundle, a, units);
+        if (!graph) graph.emplace(FlatTimingGraph::compile(bundle.netlist));
+        done.po_times = run_sta_shard(cfg, bundle, *graph, a, units);
       } else {
         run_mc_shard(cfg, bundle, a, units);
       }

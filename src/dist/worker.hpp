@@ -12,8 +12,9 @@
 //        continues from the longest valid record prefix a previous
 //        attempt (or a torn file) left behind.
 //   STA: levelized mean-delay propagation restricted to the fanin cones
-//        of sorted-PO-list indices [lo, hi), via the exact sta_kernel
-//        functions of the full engine — per-PO results return inline.
+//        of sorted-PO-list indices [lo, hi), over a graph the worker
+//        compiles once, via the flat_kernel functions of the full engine
+//        — per-PO results return inline.
 //
 // Fault sites exercised here (util/faultinject, indices chosen so a
 // retried attempt never re-fires a spent trigger):

@@ -125,7 +125,7 @@ FlatTimingGraph FlatTimingGraph::compile(const GateNetlist& netlist,
       const auto& inst = netlist.cell(sink.cell);
       g.fanout_pos_.push_back(g.cell_pos_[static_cast<std::size_t>(sink.cell)]);
       g.fanout_pin_.push_back(static_cast<Id>(sink.pin));
-      // Byte-identical to sta_kernel::sink_pin_name(inst, pin).
+      // Byte-identical to sink_pin_name(inst, pin) (sta/annotate.hpp).
       g.sink_name_off_.push_back(static_cast<Id>(g.arena_.size()));
       g.arena_.append(inst.name);
       g.arena_.push_back(':');
@@ -165,6 +165,18 @@ FlatTimingGraph FlatTimingGraph::compile(const GateNetlist& netlist,
   for (int po : pos) g.po_nets_.push_back(static_cast<Id>(po));
 
   return g;
+}
+
+void FlatTimingGraph::refresh_cell(const GateNetlist& netlist, Id cell) {
+  const CellInst& inst = netlist.cell(static_cast<int>(cell));
+  const Id pos = cell_pos_.at(cell);
+  Id arc = fanin_begin(pos);  // arity is fixed: set_cell_type enforces it
+  cell_type_[pos] = inst.type;
+  inverting_[pos] = inst.type->inverting() ? 1 : 0;
+  cell_out_net_[pos] = static_cast<Id>(inst.out_net);
+  for (int fan : inst.fanin_nets) {
+    fanin_net_[arc++] = fan < 0 ? kNoId : static_cast<Id>(fan);
+  }
 }
 
 std::size_t FlatTimingGraph::memory_bytes() const {

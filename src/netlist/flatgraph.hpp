@@ -15,16 +15,16 @@
 //     entries packed in net.sinks order ([fanout_begin(n), fanout_end(n))).
 //   - Names live in one interned arena (a single string blob + offset
 //     arrays) and never appear in the hot arrays. Sink pin names are
-//     pre-rendered as "<inst>:<pin>" — byte-identical to
-//     sta_kernel::sink_pin_name — so parasitic-tree lookups need no
-//     per-visit string construction.
+//     pre-rendered as "<inst>:<pin>" — byte-identical to sink_pin_name
+//     (sta/annotate.hpp) — so parasitic-tree lookups need no per-visit
+//     string construction.
 //
 // The graph is a *view* onto the source netlist: it copies ids, adjacency
 // and names but shares CellType pointers with the caller-owned library.
 // It records the netlist generation() it was compiled at; consumers must
 // check source_generation() before trusting it (see StaEngine). The
-// legacy GateNetlist stays authoritative for edits, lint, and IO — a
-// FlatTimingGraph is never mutated, only recompiled.
+// legacy GateNetlist stays authoritative for edits, lint, and IO; the one
+// in-place mutation is refresh_cell (IncrementalSta's own copy).
 
 #include <cstddef>
 #include <cstdint>
@@ -50,6 +50,12 @@ class FlatTimingGraph {
   /// space would overflow 32 bits.
   static FlatTimingGraph compile(const GateNetlist& netlist,
                                  CancellationToken* cancel = nullptr);
+
+  /// Re-reads legacy cell `cell`'s type, inverting flag, output net and
+  /// fanin nets from `netlist` into its position. Level ranges, fanout
+  /// lists, fanin_sink, net_driver_pos and source_generation() keep
+  /// describing the compiled netlist (StaEngine::run refuses it as stale).
+  void refresh_cell(const GateNetlist& netlist, Id cell);
 
   // --- Sizes --------------------------------------------------------------
   Id num_cells() const { return static_cast<Id>(cell_id_.size()); }
@@ -97,7 +103,7 @@ class FlatTimingGraph {
     return arena_view(cell_name_off_, pos);
   }
   /// Pre-rendered "<inst>:<pin>" for fanout entry `f` — byte-identical to
-  /// sta_kernel::sink_pin_name for that sink.
+  /// sink_pin_name for that sink.
   std::string_view sink_name(Id f) const {
     return arena_view(sink_name_off_, f);
   }

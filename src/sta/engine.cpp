@@ -8,83 +8,6 @@
 
 namespace nsdc {
 
-namespace sta_kernel {
-
-void annotate_net(const GateNetlist& netlist, const ParasiticDb& parasitics,
-                  const TechParams& tech, std::size_t n,
-                  StaEngine::Result& res) {
-  const Net& net = netlist.net(static_cast<int>(n));
-  double load = 0.0;
-  if (const RcTree* found = parasitics.find(net.name)) {
-    RcTree tree = *found;
-    for (const auto& sink : net.sinks) {
-      const auto& inst = netlist.cell(sink.cell);
-      const double pin_cap = inst.type->input_cap(tech, sink.pin);
-      tree.add_cap(tree.sink_node(sink_pin_name(inst, sink.pin)), pin_cap);
-    }
-    load = tree.total_cap();
-    res.annotated[n] = std::move(tree);
-  } else {
-    res.annotated[n] = RcTree{};
-    load = netlist.net_pin_cap(static_cast<int>(n), tech);
-  }
-  res.net_load[n] = load;
-}
-
-void propagate_cell(const GateNetlist& netlist, const NSigmaCellModel& model,
-                    int c, StaEngine::Result& res) {
-  const CellInst& inst = netlist.cell(c);
-  const auto out = static_cast<std::size_t>(inst.out_net);
-  // Reset so stale state from a prior propagation of this slot can never
-  // leak through (an unreachable edge keeps the default fields).
-  res.nets[out] = StaEngine::NetTime{};
-  auto& out_time = res.nets[out];
-  const double load = res.net_load[out];
-  const bool inverting = inst.type->inverting();
-
-  for (int edge = 0; edge < 2; ++edge) {       // 0: output rises
-    const bool out_rising = edge == 0;
-    const bool in_rising = inverting ? !out_rising : out_rising;
-    const int in_edge = in_rising ? 0 : 1;
-    double best = -1.0;
-    int best_pin = -1;
-    double best_slew = 10e-12;
-    for (std::size_t pin = 0; pin < inst.fanin_nets.size(); ++pin) {
-      if (inst.fanin_nets[pin] < 0) continue;  // unconnected pin
-      const auto fan = static_cast<std::size_t>(inst.fanin_nets[pin]);
-      const auto& fan_time = res.nets[fan];
-      if (!fan_time.reachable) continue;
-      // Wire delay from the fanin driver to this pin.
-      double wire_delay = 0.0;
-      const RcTree& tree = res.annotated[fan];
-      if (tree.num_nodes() > 1) {
-        wire_delay = tree.elmore(
-            tree.sink_node(sink_pin_name(inst, static_cast<int>(pin))));
-      }
-      const double slew_in = fan_time.slew[static_cast<std::size_t>(in_edge)];
-      const double cell_delay = model.mean_delay(
-          inst.type->name(), static_cast<int>(pin), in_rising, slew_in, load);
-      const double arr =
-          fan_time.arrival[static_cast<std::size_t>(in_edge)] + wire_delay +
-          cell_delay;
-      if (arr > best) {
-        best = arr;
-        best_pin = static_cast<int>(pin);
-        best_slew = slew_in;
-      }
-    }
-    if (best_pin < 0) continue;  // edge unreachable
-    out_time.reachable = true;
-    out_time.arrival[static_cast<std::size_t>(edge)] = best;
-    out_time.from_pin[static_cast<std::size_t>(edge)] = best_pin;
-    out_time.slew[static_cast<std::size_t>(edge)] = model.mean_out_slew(
-        inst.type->name(), best_pin, inverting ? !out_rising : out_rising,
-        best_slew, load);
-  }
-}
-
-}  // namespace sta_kernel
-
 StaEngine::Result StaEngine::run(const GateNetlist& netlist,
                                  const ParasiticDb& parasitics) const {
   const FlatTimingGraph graph =

@@ -99,29 +99,10 @@ class StaEngine {
   StaConfig config_{};
 };
 
-/// Edit kernels over the GateNetlist: IncrementalSta, the dist STA cone
-/// shards and the analysis annotate step time an edited netlist or a cone
-/// subset with these, without compiling a graph. The full engine runs
-/// their flat_kernel twins (flatsta.hpp), which perform the same
-/// floating-point operations in the same order on the same inputs, so
-/// every slot either walk produces is bit-identical — the property that
-/// makes incremental re-propagation equal a from-scratch run. A
-/// reference full pass built from these functions pins that equivalence
-/// in the tests.
+/// The endpoint scan shared by every nominal pass. Per-cell annotation and
+/// propagation live in flat_kernel (flatsta.hpp), the one implementation
+/// every engine runs.
 namespace sta_kernel {
-
-/// (Re)annotates net `n` into `res`: copies the parasitic tree, adds
-/// receiver pin caps at its sinks, and records the total driver load
-/// (pin-cap sum when the net has no parasitics).
-void annotate_net(const GateNetlist& netlist, const ParasiticDb& parasitics,
-                  const TechParams& tech, std::size_t n,
-                  StaEngine::Result& res);
-
-/// Recomputes cell `c`'s output-net NetTime from its fanin slots and the
-/// annotated loads. Resets the slot first, so re-running on an
-/// already-propagated result reproduces the full-run value exactly.
-void propagate_cell(const GateNetlist& netlist, const NSigmaCellModel& model,
-                    int c, StaEngine::Result& res);
 
 /// Scans the primary-output net ids `pos`, in list order, into
 /// max_arrival / critical_net / critical_edge; the first strictly larger

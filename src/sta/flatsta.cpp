@@ -2,10 +2,12 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "core/nsigma_wire.hpp"
+#include "sta/annotate.hpp"
 #include "util/cancel.hpp"
 #include "util/faultinject.hpp"
 
@@ -19,7 +21,53 @@ std::size_t FlatArcRecords::memory_bytes() const {
          xw.capacity() * sizeof(double);
 }
 
+namespace {
+
+/// The wire record of `arc` from its fanin net's annotated tree.
+void bind_wire_record(const RcTree& tree, std::string_view sink,
+                      FlatTimingGraph::Id arc, FlatArcRecords& rec) {
+  const bool wired = tree.num_nodes() > 1;
+  rec.has_tree[arc] = wired ? 1 : 0;
+  rec.elmore[arc] = wired ? tree.elmore(tree.sink_node(sink)) : 0.0;
+}
+
+/// The annotation arithmetic shared by flat_annotate_net and
+/// flat_reannotate_net. `for_each_sink(add)` calls add(pin_cap, sink_name)
+/// once per sink of net `n`, in net.sinks order.
+template <class ForEachSink>
+void annotate_net_with(const GateNetlist& netlist,
+                       const ParasiticDb& parasitics, const TechParams& tech,
+                       std::size_t n, StaEngine::Result& res,
+                       ForEachSink&& for_each_sink) {
+  const RcTree* found = parasitics.find(netlist.net(static_cast<int>(n)).name);
+  RcTree tree = found ? *found : RcTree{};
+  if (found) {
+    for_each_sink([&](double pin_cap, std::string_view sink) {
+      tree.add_cap(tree.sink_node(sink), pin_cap);
+    });
+  }
+  res.net_load[n] = found ? tree.total_cap()
+                          : netlist.net_pin_cap(static_cast<int>(n), tech);
+  res.annotated[n] = std::move(tree);
+}
+
+}  // namespace
+
 namespace flat_kernel {
+
+std::array<const CellArcModel*, 2> resolve_arc_models(
+    const NSigmaCellModel& model, const CellType& type) {
+  // A type absent from the model resolves to nullptrs; its arcs fall back
+  // to the throwing string path only if propagation evaluates them.
+  std::array<const CellArcModel*, 2> h{nullptr, nullptr};
+  for (int e = 0; e < 2; ++e) {
+    try {
+      h[static_cast<std::size_t>(e)] = &model.arc(type.name(), 0, e == 0);
+    } catch (const std::out_of_range&) {  // stays nullptr
+    }
+  }
+  return h;
+}
 
 void bind_arc_records(const FlatTimingGraph& graph,
                       const NSigmaCellModel& model,
@@ -32,24 +80,14 @@ void bind_arc_records(const FlatTimingGraph& graph,
   rec.elmore.assign(num_arcs, 0.0);
   rec.has_tree.assign(num_arcs, 0);
 
-  // One resolution per distinct CellType: NSigmaCellModel ignores the pin
-  // and keys by (cell name, input edge). A type absent from the model
-  // resolves to nullptrs; its arcs fall back to the throwing string path
-  // only if propagation actually evaluates them (as sta_kernel does).
+  // One resolution per distinct CellType.
   std::unordered_map<const CellType*, std::array<const CellArcModel*, 2>>
       by_type;
   for (Id pos = 0; pos < graph.num_cells(); ++pos) {
     const CellType* type = graph.cell_type(pos);
-    if (by_type.count(type)) continue;
-    std::array<const CellArcModel*, 2> h{nullptr, nullptr};
-    for (int e = 0; e < 2; ++e) {
-      try {
-        h[static_cast<std::size_t>(e)] = &model.arc(type->name(), 0, e == 0);
-      } catch (const std::out_of_range&) {
-        h[static_cast<std::size_t>(e)] = nullptr;
-      }
+    if (!by_type.count(type)) {
+      by_type.emplace(type, resolve_arc_models(model, *type));
     }
-    by_type.emplace(type, h);
   }
 
   // Arc slots per position are disjoint, so positions fan out freely.
@@ -61,14 +99,8 @@ void bind_arc_records(const FlatTimingGraph& graph,
       rec.arc_model[1][arc] = h[1];
       const Id fan = graph.fanin_net(arc);
       if (fan == FlatTimingGraph::kNoId) continue;
-      const RcTree& tree = res.annotated[fan];
-      if (tree.num_nodes() > 1) {
-        rec.has_tree[arc] = 1;
-        // Same call sta_kernel::propagate_cell makes per visit, so the stored
-        // double is bit-identical to the recomputed one.
-        rec.elmore[arc] = tree.elmore(
-            tree.sink_node(graph.sink_name(graph.fanin_sink(arc))));
-      }
+      bind_wire_record(res.annotated[fan],
+                       graph.sink_name(graph.fanin_sink(arc)), arc, rec);
     }
   });
 }
@@ -109,23 +141,36 @@ void flat_annotate_net(const FlatTimingGraph& graph,
                        const ParasiticDb& parasitics, const TechParams& tech,
                        std::size_t n, StaEngine::Result& res) {
   using Id = FlatTimingGraph::Id;
-  double load = 0.0;
-  if (const RcTree* found =
-          parasitics.find(netlist.net(static_cast<int>(n)).name)) {
-    RcTree tree = *found;
-    const Id net = static_cast<Id>(n);
+  const Id net = static_cast<Id>(n);
+  annotate_net_with(netlist, parasitics, tech, n, res, [&](const auto& add) {
     for (Id f = graph.fanout_begin(net); f < graph.fanout_end(net); ++f) {
-      const double pin_cap = graph.cell_type(graph.fanout_pos(f))
-                                 ->input_cap(tech, static_cast<int>(graph.fanout_pin(f)));
-      tree.add_cap(tree.sink_node(graph.sink_name(f)), pin_cap);
+      add(graph.cell_type(graph.fanout_pos(f))
+              ->input_cap(tech, static_cast<int>(graph.fanout_pin(f))),
+          graph.sink_name(f));
     }
-    load = tree.total_cap();
-    res.annotated[n] = std::move(tree);
-  } else {
-    res.annotated[n] = RcTree{};
-    load = netlist.net_pin_cap(static_cast<int>(n), tech);
+  });
+}
+
+void flat_reannotate_net(const FlatTimingGraph& graph,
+                         const GateNetlist& netlist,
+                         const ParasiticDb& parasitics,
+                         const TechParams& tech, std::size_t n,
+                         StaEngine::Result& res, FlatArcRecords& rec) {
+  using Id = FlatTimingGraph::Id;
+  const Net& net = netlist.net(static_cast<int>(n));
+  annotate_net_with(netlist, parasitics, tech, n, res, [&](const auto& add) {
+    for (const NetSink& s : net.sinks) {
+      const CellInst& inst = netlist.cell(s.cell);
+      add(inst.type->input_cap(tech, s.pin), sink_pin_name(inst, s.pin));
+    }
+  });
+  // Every pin cap is in the tree now, so its Elmore delays are final.
+  for (const NetSink& s : net.sinks) {
+    const Id pos = graph.position_of_cell(static_cast<Id>(s.cell));
+    bind_wire_record(res.annotated[n],
+                     sink_pin_name(netlist.cell(s.cell), s.pin),
+                     graph.fanin_begin(pos) + static_cast<Id>(s.pin), rec);
   }
-  res.net_load[n] = load;
 }
 
 void flat_propagate_cell(const FlatTimingGraph& graph,
@@ -157,8 +202,8 @@ void flat_propagate_cell(const FlatTimingGraph& graph,
       const auto fan = static_cast<std::size_t>(fan_id);
       const auto& fan_time = res.nets[fan];
       if (!fan_time.reachable) continue;
-      // Wire delay from the fanin driver to this pin (precomputed in
-      // bind_arc_records by sta_kernel::propagate_cell's tree.elmore call).
+      // Wire delay from the fanin driver to this pin (bound from the
+      // annotated tree by bind_arc_records / flat_reannotate_net).
       const double wire_delay = rec.has_tree[arc] ? rec.elmore[arc] : 0.0;
       const double slew_in = fan_time.slew[static_cast<std::size_t>(in_edge)];
       const CellArcModel* am = models[arc];

@@ -1,22 +1,18 @@
 #pragma once
-// Flat-graph STA kernels: the FlatTimingGraph counterparts of sta_kernel.
+// Flat-graph STA kernels: the one implementation of annotation, per-arc
+// record binding and per-cell propagation that every engine runs.
 //
 // FlatArcRecords packs the per-arc annotation every engine needs —
 // resolved charlib surface handles, the Elmore delay to each sink pin,
 // the Eq. 7 wire variability X_w — contiguously in propagation (arc)
 // order, so the inner loops replace string-keyed map lookups and
-// per-visit name construction with array reads.
-//
-// Byte-identity contract: each flat kernel performs exactly the floating-
-// point operations of its sta_kernel twin, in the same order, on the same
-// inputs; StaEngine::run runs these, IncrementalSta and the dist cone
-// shards run the twins. NSigmaCellModel keys arcs by (cell name, input
-// edge) and ignores the pin, so one handle per (CellType, edge)
-// reproduces every per-arc string lookup; Elmore is precomputed by the
-// same tree.elmore(tree.sink_node(name)) call sta_kernel::propagate_cell
-// makes per visit. Handles that fail to resolve (cell type absent from
-// the model) stay null and the kernels fall back to the string-keyed
-// model call, which throws exactly where the twin would.
+// per-visit name construction with array reads. NSigmaCellModel keys
+// arcs by (cell name, input edge) and ignores the pin, so one handle per
+// (CellType, edge) stands in for every per-arc string lookup; Elmore is
+// precomputed by one tree.elmore(tree.sink_node(name)) call per arc.
+// Handles that fail to resolve (cell type absent from the model) stay
+// null and the kernels fall back to the string-keyed model call, which
+// throws only where an arc of that type is actually evaluated.
 
 #include <array>
 #include <cstddef>
@@ -49,6 +45,11 @@ struct FlatArcRecords {
 
 namespace flat_kernel {
 
+/// Charlib handles of `type` per input edge (index 0 = input rising);
+/// nullptr where the model lacks the type.
+std::array<const CellArcModel*, 2> resolve_arc_models(
+    const NSigmaCellModel& model, const CellType& type);
+
 /// Resolves charlib handles (one resolution per CellType, fanned out to
 /// every arc) and precomputes per-arc Elmore delays from the annotated
 /// trees in `res`. Call after annotation, before propagation.
@@ -63,15 +64,28 @@ void bind_arc_records(const FlatTimingGraph& graph,
 void bind_wire_xw(const FlatTimingGraph& graph, const NSigmaWireModel& wire,
                   FlatArcRecords& rec);
 
-/// sta_kernel::annotate_net on the flat graph: the parasitic lookup still
-/// uses the netlist's net name (ParasiticDb is string-keyed), but sink pin
-/// caps come from the interned fanout arrays — no per-sink name building.
+/// (Re)annotates net `n` into `res`: copies the parasitic tree, adds each
+/// fanout entry's pin cap at its interned sink name, and records the
+/// driver load (pin-cap sum when the net has no parasitics).
 void flat_annotate_net(const FlatTimingGraph& graph,
                        const GateNetlist& netlist,
                        const ParasiticDb& parasitics, const TechParams& tech,
                        std::size_t n, StaEngine::Result& res);
 
-/// sta_kernel::propagate_cell for the cell at `pos`.
+/// flat_annotate_net for a netlist edited since `graph` was compiled: the
+/// sinks come from the netlist's current net.sinks (a rewire moves a sink
+/// between nets; the compiled fanout lists do not see it). Then rebinds
+/// the has_tree / elmore records of those sinks' arcs from the finished
+/// tree. Writes only slot `n` and its sinks' records, so distinct nets may
+/// run concurrently.
+void flat_reannotate_net(const FlatTimingGraph& graph,
+                         const GateNetlist& netlist,
+                         const ParasiticDb& parasitics,
+                         const TechParams& tech, std::size_t n,
+                         StaEngine::Result& res, FlatArcRecords& rec);
+
+/// Recomputes the output-net NetTime of the cell at `pos`. Resets the slot
+/// first, so re-running it reproduces the full-run value exactly.
 void flat_propagate_cell(const FlatTimingGraph& graph,
                          const FlatArcRecords& rec,
                          const NSigmaCellModel& model,

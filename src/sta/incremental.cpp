@@ -35,7 +35,8 @@ const StaEngine::Result& IncrementalSta::bind(const GateNetlist& netlist,
 }
 
 const StaEngine::Result& IncrementalSta::full_rerun() {
-  result_ = engine_.run(*netlist_, *parasitics_);
+  graph_.emplace(FlatTimingGraph::compile(*netlist_, config_.exec.cancel));
+  result_ = engine_.run(*graph_, *netlist_, *parasitics_, &rec_);
   synced_gen_ = netlist_->generation();
   pending_parasitics_.clear();
   po_cache_ = netlist_->primary_outputs();
@@ -67,16 +68,6 @@ void IncrementalSta::invalidate_parasitics(int net) {
 bool IncrementalSta::in_sync() const {
   return netlist_ && synced_gen_ == netlist_->generation() &&
          pending_parasitics_.empty();
-}
-
-void IncrementalSta::seed_reannotated_net(int net,
-                                          std::set<int>* dirty_cells) const {
-  // A re-annotated net changes the load its driver sees (driver delay and
-  // output slew) and the RC tree every sink reads its wire delay from, so
-  // both sides of the net re-propagate.
-  const Net& n = netlist_->net(net);
-  if (n.driver_cell >= 0) dirty_cells->insert(n.driver_cell);
-  for (const auto& s : n.sinks) dirty_cells->insert(s.cell);
 }
 
 const StaEngine::Result& IncrementalSta::update() {
@@ -143,18 +134,39 @@ const StaEngine::Result& IncrementalSta::update() {
   // Cone-local level repair happened inside the netlist; this is cheap.
   const auto& lev = netlist_->levelization();
 
-  // Re-annotate dirty nets with the shared kernel (independent slots).
+  // dirty_cells holds exactly the edited cells so far: re-read each into
+  // the kept graph and rebind its charlib handles.
+  using Id = FlatTimingGraph::Id;
+  for (int c : dirty_cells) {
+    graph_->refresh_cell(*netlist_, static_cast<Id>(c));
+    const Id pos = graph_->position_of_cell(static_cast<Id>(c));
+    const auto h =
+        flat_kernel::resolve_arc_models(model_, *graph_->cell_type(pos));
+    for (Id arc = graph_->fanin_begin(pos); arc < graph_->fanin_end(pos);
+         ++arc) {
+      rec_.arc_model[0][arc] = h[0];
+      rec_.arc_model[1][arc] = h[1];
+    }
+  }
+
+  // Re-annotate dirty nets from their current sinks and rebind those
+  // sinks' wire records (independent slots and arcs per net).
   if (!reannotate.empty()) {
     const std::vector<int> nets(reannotate.begin(), reannotate.end());
-    const bool parallel = config_.parallel_for_size(nets.size());
-    const ExecContext exec =
-        parallel ? config_.exec : config_.exec.with_threads(1);
-    exec.parallel_for(nets.size(), [&](std::size_t i) {
-      sta_kernel::annotate_net(*netlist_, *parasitics_, tech_,
-                               static_cast<std::size_t>(nets[i]), result_);
+    config_.exec.parallel_for_autotuned(nets.size(), [&](std::size_t i) {
+      flat_kernel::flat_reannotate_net(*graph_, *netlist_, *parasitics_,
+                                       tech_,
+                                       static_cast<std::size_t>(nets[i]),
+                                       result_, rec_);
     });
     stats_.nets_reannotated = nets.size();
-    for (int n : nets) seed_reannotated_net(n, &dirty_cells);
+    // A re-annotated net changes the load its driver sees and the RC tree
+    // every sink reads its wire delay from: both sides re-propagate.
+    for (int n : nets) {
+      const Net& net = netlist_->net(n);
+      if (net.driver_cell >= 0) dirty_cells.insert(net.driver_cell);
+      for (const auto& s : net.sinks) dirty_cells.insert(s.cell);
+    }
   }
 
   // Out-net moves, judged against the final netlist state: a moved net
@@ -195,11 +207,10 @@ const StaEngine::Result& IncrementalSta::update() {
       before.push_back(
           result_.nets[static_cast<std::size_t>(netlist_->cell(c).out_net)]);
     }
-    const bool parallel = config_.parallel_for_size(batch.size());
-    const ExecContext exec =
-        parallel ? config_.exec : config_.exec.with_threads(1);
-    exec.parallel_for(batch.size(), [&](std::size_t i) {
-      sta_kernel::propagate_cell(*netlist_, model_, batch[i], result_);
+    config_.exec.parallel_for_autotuned(batch.size(), [&](std::size_t i) {
+      flat_kernel::flat_propagate_cell(
+          *graph_, rec_, model_,
+          graph_->position_of_cell(static_cast<Id>(batch[i])), result_);
     });
     stats_.cells_recomputed += batch.size();
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -224,11 +235,6 @@ const StaEngine::Result& IncrementalSta::update() {
   synced_gen_ = gen;
   pending_parasitics_.clear();
   return result_;
-}
-
-PathDescription IncrementalSta::extract_critical_path() const {
-  if (!netlist_) throw std::logic_error("IncrementalSta: extract before bind");
-  return engine_.extract_critical_path(*netlist_, result_);
 }
 
 }  // namespace nsdc

@@ -12,12 +12,11 @@
 // Determinism contract: update() produces a Result bit-identical to a
 // fresh StaEngine::run() on the edited netlist, at any thread count. Two
 // properties make this hold:
-//   1. Twin kernels — annotation and per-cell propagation run the
-//      sta_kernel functions; the full engine runs their flat_kernel twins,
-//      which perform the same floating-point operations in the same order
-//      on the same inputs (a reference full pass built from sta_kernel is
-//      checked bit for bit against StaEngine::run in the tests), so any
-//      slot that is recomputed gets exactly the full-run value.
+//   1. One kernel — the engine keeps the FlatTimingGraph and FlatArcRecords
+//      of its last full run and refreshes the edited cells and re-annotated
+//      nets in place with the flat_kernel calls a fresh run makes; the cone
+//      walk runs flat_propagate_cell, so any recomputed slot gets exactly
+//      the full-run value.
 //   2. Convergence cut — a recomputed cell whose output NetTime is exactly
 //      equal to its previous value stops the wave (its fanout already
 //      holds values derived from identical inputs). Slots the wave never
@@ -27,10 +26,13 @@
 // change detection and worklist insertion stay serial and ordered.
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <vector>
 
+#include "netlist/flatgraph.hpp"
 #include "sta/engine.hpp"
+#include "sta/flatsta.hpp"
 #include "util/diag.hpp"
 
 namespace nsdc {
@@ -66,11 +68,6 @@ class IncrementalSta {
   /// Netlist generation the current result corresponds to.
   std::uint64_t synced_generation() const { return synced_gen_; }
 
-  /// Critical path of the current result (engine passthrough).
-  PathDescription extract_critical_path() const;
-
-  const StaEngine& engine() const { return engine_; }
-
   /// Work accounting for the most recent update() — the observable basis
   /// of the "per-edit cost scales with cone size" contract.
   struct UpdateStats {
@@ -94,7 +91,6 @@ class IncrementalSta {
  private:
   const StaEngine::Result& full_rerun();
   const StaEngine::Result& fallback(const std::string& why);
-  void seed_reannotated_net(int net, std::set<int>* dirty_cells) const;
 
   const NSigmaCellModel& model_;
   TechParams tech_;
@@ -104,6 +100,9 @@ class IncrementalSta {
   const GateNetlist* netlist_ = nullptr;
   const ParasiticDb* parasitics_ = nullptr;
   StaEngine::Result result_;
+  /// The last full run's graph and records, refreshed in place by update().
+  std::optional<FlatTimingGraph> graph_;
+  FlatArcRecords rec_;
   std::uint64_t synced_gen_ = 0;
   std::set<int> pending_parasitics_;
   std::vector<int> po_cache_;

@@ -296,8 +296,11 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
   CancellationToken* token = exec.cancel;
   constexpr double kQuietNan = std::numeric_limits<double>::quiet_NaN();
 
+  // Finest grain (one block per chunk) unless ExecContext::grain or
+  // NSDC_GRAIN overrides it: per-block work is coarse enough that load
+  // balance beats scheduling overhead (netmc_parallel_perf.json).
   out.shards = exec.parallel_for_chunked(
-      b_hi - b_lo, options_.grain,
+      b_hi - b_lo, /*call_grain=*/1,
       [&](std::size_t i_begin, std::size_t i_end) {
         // Chunk-local scratch, reused across the chunk's blocks/samples.
         // PI slots stay 0 (their arrival) for the whole chunk; every other

@@ -58,11 +58,6 @@ struct NetMcOptions {
   bool moment_shaping = true;
   /// Engine policy for the nominal pre-pass (slews, loads, levelization).
   StaConfig sta{};
-  /// Scheduling grain in accumulation blocks per chunk, overridable via
-  /// ExecContext::grain / the NSDC_GRAIN env var. Default 1 (finest): the
-  /// netmc_parallel_perf.json sweep shows per-block work is coarse enough
-  /// that load balance beats scheduling overhead at every design size.
-  std::size_t grain = 1;
   /// When non-empty, stream completed accumulation blocks to this
   /// checkpoint file (see sta/netmc_checkpoint.hpp for the format). A run
   /// killed mid-flight — cancellation, deadline, crash — leaves every

@@ -84,7 +84,7 @@ unsigned ExecContext::parallel_for_autotuned(
 }
 
 unsigned ExecContext::parallel_for_chunked(
-    std::size_t count, std::size_t grain,
+    std::size_t count, std::size_t call_grain,
     const std::function<void(std::size_t, std::size_t)>& fn) const {
   if (count == 0) return 0;
   // Chunked loops poll once per chunk; bodies with long-running chunks
@@ -93,7 +93,7 @@ unsigned ExecContext::parallel_for_chunked(
       std::min<std::size_t>(std::max(1u, resolved_threads()), count);
   const std::size_t per_lane = (count + n - 1) / n;
   const std::size_t block =
-      std::max(std::max<std::size_t>(1, resolved_grain(grain)), per_lane);
+      std::max(std::max<std::size_t>(1, resolved_grain(call_grain)), per_lane);
   return run_guarded_blocks(*this, count, block, fn);
 }
 

@@ -1,9 +1,10 @@
 // FlatTimingGraph contract tests: compile/round-trip equivalence against
 // the source GateNetlist, CSR adjacency invariants, level contiguity,
-// interned-name fidelity. Byte identity: StaEngine must match a reference
-// full pass built from the sta_kernel edit kernel at 1 and 4 threads, and
-// the bound per-arc records must match the name-keyed lookups they
-// replace; NetlistMonteCarlo, AnalyticSsta and interval propagation are
+// interned-name fidelity. Byte identity: StaEngine must match the
+// independent GateNetlist reference pass (reference_sta.hpp) at 1 and 4
+// threads (1, 2, 4 and 8 on a deep, narrow design), and the bound per-arc
+// records must match the name-keyed lookups they replace;
+// NetlistMonteCarlo, AnalyticSsta and interval propagation are
 // pinned on a C432-like design by golden CSVs (regenerate after an
 // intentional model change with NSDC_REGEN_GOLDEN=1 ./tests/test_flatgraph)
 // and by 1-vs-4-thread memcmps. Plus the scale gate: a 100k-cell designgen
@@ -323,7 +324,7 @@ TEST(FlatGraph, MemoryBytesIsPopulated) {
   EXPECT_LT(g.memory_bytes(), static_cast<std::size_t>(g.num_cells()) * 4096);
 }
 
-// ------------------------------------------------ reference kernel walk
+// ------------------------------------------------------- reference walk
 
 TEST(FlatGraphIdentity, StaEngineMatchesKernelReferenceAt1And4Threads) {
   for (const auto& [name, build] : design_matrix()) {
@@ -351,7 +352,7 @@ TEST(FlatGraphIdentity, StaEngineMatchesKernelReferenceAt1And4Threads) {
 // A deep, narrow design (~10 cells per level, with parasitics): at the
 // default grain every level is below the autotuned minimum block and runs
 // inline on the caller; at grain 1 each level spreads over the pool. Both
-// schedules must reproduce the serial kernel walk bit for bit.
+// schedules must reproduce the serial reference walk bit for bit.
 TEST(FlatGraphIdentity, DeepNarrowMatchesKernelReferenceAtEveryLaneAndGrain) {
   const DesignFixture fx([](const CellLibrary& cells) {
     RandomNetlistSpec spec;
@@ -379,8 +380,8 @@ TEST(FlatGraphIdentity, DeepNarrowMatchesKernelReferenceAtEveryLaneAndGrain) {
 }
 
 // The per-arc records the flat engines read (charlib handle, Elmore, raw
-// X_w) against the name-keyed lookups they stand in for: the ones
-// sta_kernel::propagate_cell makes per visit and the wire-model query.
+// X_w) against the name-keyed lookups they stand in for: the ones the
+// reference pass makes per visit and the wire-model query.
 TEST(FlatGraphIdentity, BoundRecordsMatchNameKeyedLookups) {
   for (const auto& [name, build] : design_matrix()) {
     const DesignFixture fx(build);
@@ -555,8 +556,9 @@ TEST(FlatGraphGolden, AnalyticSstaC432MatchesGoldenAt1And4Threads) {
 
 TEST(FlatGraphGolden, IntervalsC432MatchGoldenAt1And4Threads) {
   const DesignFixture fx(&build_c432);
+  const FlatTimingGraph graph = FlatTimingGraph::compile(fx.nl);
   const StaEngine::Result annotated =
-      StaEngine(fx.model, fx.tech).run(fx.nl, fx.spef);
+      StaEngine(fx.model, fx.tech).run(graph, fx.nl, fx.spef);
   AnalysisInput input;
   input.netlist = &fx.nl;
   input.parasitics = &fx.spef;
@@ -567,8 +569,10 @@ TEST(FlatGraphGolden, IntervalsC432MatchGoldenAt1And4Threads) {
   AnalysisOptions opt1, opt4;
   opt1.exec.threads = 1;
   opt4.exec.threads = 4;
-  const IntervalResult ref = propagate_intervals(input, opt1, annotated);
-  const IntervalResult got = propagate_intervals(input, opt4, annotated);
+  const IntervalResult ref =
+      propagate_intervals(input, opt1, graph, annotated);
+  const IntervalResult got =
+      propagate_intervals(input, opt4, graph, annotated);
   ASSERT_EQ(got.nets.size(), ref.nets.size());
   for (std::size_t n = 0; n < ref.nets.size(); ++n) {
     const NetBounds& a = got.nets[n];

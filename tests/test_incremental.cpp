@@ -98,24 +98,83 @@ void random_rewire(GateNetlist& nl, const CellLibrary& lib, Rng& rng) {
   }
 }
 
+/// Cross-function retype with the same arity: INV<->BUF (flips the
+/// inverting flag), NAND2<->NOR2, AOI21<->OAI21, at the cell's strength.
+void random_cross_retype(GateNetlist& nl, const CellLibrary& lib, Rng& rng) {
+  const int c = static_cast<int>(
+      rng.uniform_int(0, static_cast<std::int64_t>(nl.num_cells()) - 1));
+  const CellType& cur = *nl.cell(c).type;
+  CellFunc other = CellFunc::kInv;
+  switch (cur.func()) {
+    case CellFunc::kInv: other = CellFunc::kBuf; break;
+    case CellFunc::kBuf: other = CellFunc::kInv; break;
+    case CellFunc::kNand2: other = CellFunc::kNor2; break;
+    case CellFunc::kNor2: other = CellFunc::kNand2; break;
+    case CellFunc::kAoi21: other = CellFunc::kOai21; break;
+    case CellFunc::kOai21: other = CellFunc::kAoi21; break;
+  }
+  nl.set_cell_type(c, lib.by_func(other, cur.strength()));
+}
+
+/// A pin the harness disconnected, to be reconnected to `net`.
+struct OpenPin {
+  int cell = -1;
+  int pin = -1;
+  int net = -1;
+};
+
+/// Disconnects a random pin (rewire_fanin to -1), or, when a previous call
+/// left one open, reconnects that pin to its original net.
+void toggle_open_pin(GateNetlist& nl, Rng& rng, OpenPin& open) {
+  if (open.cell >= 0) {
+    nl.rewire_fanin(open.cell, open.pin, open.net);
+    open = OpenPin{};
+    return;
+  }
+  const int c = static_cast<int>(
+      rng.uniform_int(0, static_cast<std::int64_t>(nl.num_cells()) - 1));
+  const int pin = static_cast<int>(rng.uniform_int(
+      0, static_cast<std::int64_t>(nl.cell(c).fanin_nets.size()) - 1));
+  open = {c, pin, nl.cell(c).fanin_nets[static_cast<std::size_t>(pin)]};
+  nl.rewire_fanin(c, pin, -1);
+}
+
+/// Relative weights of the harness's edit kinds.
+struct EditMix {
+  double retype = 1.0;        ///< random strength, same function
+  double rewire = 0.0;        ///< random acyclic fanin rewire
+  double cross_retype = 0.0;  ///< same arity, other function
+  double open_pin = 0.0;      ///< pin disconnect, then reconnect
+};
+
 /// Drives `edits` random edits through two incremental timers (1 and 4
-/// lanes) and checks both against a fresh full run after every edit.
+/// lanes) and checks each against a fresh full run at the same lane count
+/// after every edit.
 void run_equivalence(const GateNetlist& base, const CellLibrary& lib,
                      const NSigmaCellModel& model, const TechParams& tech,
                      const ParasiticDb& parasitics, int edits,
-                     double rewire_fraction, std::uint64_t seed) {
+                     const EditMix& mix, std::uint64_t seed) {
   GateNetlist nl = base;
   IncrementalSta inc1(model, tech, exec_config(1));
   IncrementalSta inc4(model, tech, exec_config(4));
   inc1.bind(nl, parasitics);
   inc4.bind(nl, parasitics);
-  const StaEngine full_engine(model, tech);
+  const StaEngine full1(model, tech, exec_config(1));
+  const StaEngine full4(model, tech, exec_config(4));
 
   Rng rng(seed);
+  OpenPin open;
   std::size_t recomputed = 0;
+  const double total =
+      mix.retype + mix.rewire + mix.cross_retype + mix.open_pin;
   for (int e = 0; e < edits; ++e) {
-    if (rng.uniform() < rewire_fraction) {
+    double u = rng.uniform() * total;
+    if ((u -= mix.rewire) < 0.0) {
       random_rewire(nl, lib, rng);
+    } else if ((u -= mix.cross_retype) < 0.0) {
+      random_cross_retype(nl, lib, rng);
+    } else if ((u -= mix.open_pin) < 0.0) {
+      toggle_open_pin(nl, rng, open);
     } else {
       random_retype(nl, lib, rng);
     }
@@ -124,10 +183,9 @@ void run_equivalence(const GateNetlist& base, const CellLibrary& lib,
     const auto& got4 = inc4.update();
     EXPECT_FALSE(inc1.last_stats().full_rerun) << "edit " << e;
     recomputed += inc1.last_stats().cells_recomputed;
-    const StaEngine::Result ref = full_engine.run(nl, parasitics);
-    expect_results_identical(got1, ref,
+    expect_results_identical(got1, full1.run(nl, parasitics),
                              "edit " + std::to_string(e) + " (1 lane)");
-    expect_results_identical(got4, ref,
+    expect_results_identical(got4, full4.run(nl, parasitics),
                              "edit " + std::to_string(e) + " (4 lanes)");
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -141,7 +199,23 @@ TEST_F(IncrementalStaTest, RandomRetypesMatchFullRunC432) {
   GateNetlist nl = generate_iscas_like("C432", lib);
   const ParasiticDb parasitics = generate_parasitics(nl, tech);
   run_equivalence(nl, lib, model, tech, parasitics, /*edits=*/100,
-                  /*rewire_fraction=*/0.0, /*seed=*/11);
+                  EditMix{}, /*seed=*/11);
+}
+
+// Edits that change what the kept graph holds for a cell beyond its
+// strength, on extracted wires: a cross-function retype flips the
+// inverting flag (INV<->BUF) or swaps the arc tables, and a pin
+// disconnected and later reconnected moves its sink out of and back into
+// an RC tree (appended to the net's sink list, so the pin-cap order
+// changes too).
+TEST_F(IncrementalStaTest, CrossFunctionRetypesAndPinReconnectsMatchC432) {
+  GateNetlist nl = generate_iscas_like("C432", lib);
+  const ParasiticDb parasitics = generate_parasitics(nl, tech);
+  EditMix mix;
+  mix.cross_retype = 1.0;
+  mix.open_pin = 1.0;
+  run_equivalence(nl, lib, model, tech, parasitics, /*edits=*/120, mix,
+                  /*seed=*/29);
 }
 
 TEST_F(IncrementalStaTest, RandomMixedEditsMatchFullRunDesigngen) {
@@ -155,8 +229,11 @@ TEST_F(IncrementalStaTest, RandomMixedEditsMatchFullRunDesigngen) {
   // Wireless (pin-cap loads): rewired sinks have no pre-extracted RC pin
   // to land on, which matches how full STA treats un-annotated nets.
   const ParasiticDb empty;
-  run_equivalence(nl, lib, model, tech, empty, /*edits=*/120,
-                  /*rewire_fraction=*/0.4, /*seed=*/23);
+  EditMix mix;
+  mix.retype = 0.6;
+  mix.rewire = 0.4;
+  run_equivalence(nl, lib, model, tech, empty, /*edits=*/120, mix,
+                  /*seed=*/23);
 }
 
 TEST_F(IncrementalStaTest, ConvergenceCutStopsUnchangedCone) {

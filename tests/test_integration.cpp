@@ -150,7 +150,7 @@ TEST_F(IntegrationTest, TimerEndToEndOnInverterChain) {
 
   // Golden MC cross-check at +-1 sigma (tails need more samples than a
   // unit test budget allows).
-  PathMcConfig mcc;
+  McConfig mcc;
   mcc.samples = 120;
   mcc.seed = 99;
   PathMonteCarlo mc(*tech_);

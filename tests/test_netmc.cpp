@@ -15,10 +15,8 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
-#include "baselines/mc_reference.hpp"
 #include "netlist/benchio.hpp"
 #include "netlist/designgen.hpp"
 #include "sta/annotate.hpp"
@@ -27,10 +25,6 @@
 
 namespace nsdc {
 namespace {
-
-// The per-path and whole-netlist engines share one MC execution config;
-// the old name must remain a source-compatible alias.
-static_assert(std::is_same_v<PathMcConfig, McConfig>);
 
 std::string repo_path(const std::string& rel) {
   return std::string(NSDC_SOURCE_DIR) + "/" + rel;

@@ -402,7 +402,7 @@ TEST_F(InvarianceTest, PathMonteCarloBitIdenticalAcrossThreadCounts) {
 
   PathMonteCarlo mc(tech);
   auto run_at = [&](unsigned threads) {
-    PathMcConfig cfg;
+    McConfig cfg;
     cfg.samples = 40;
     cfg.seed = 4242;
     cfg.threads = threads;

@@ -294,7 +294,7 @@ int tool_main(int argc, char** argv) {
     }
   }
 
-  PathMcConfig mcc;
+  McConfig mcc;
   mcc.samples = 250;
   if (use_token) mcc.exec.cancel = &token;
   PathMonteCarlo mc(tech);
