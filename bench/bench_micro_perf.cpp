@@ -367,9 +367,10 @@ int run_netmc_scaling(const std::string& json_path) {
 /// Analytic four-moment SSTA vs the sharded netlist Monte Carlo across
 /// design sizes: wall time on both sides (MC at the 100k-sample reference
 /// count the acceptance contract uses), the speedup ratio, worst-case
-/// N-sigma quantile disagreement in sigma units, and the engine's
-/// thread-count determinism (1 vs 4 lanes byte-identical). The JSON perf
-/// record lands in ssta_analytic_perf.json.
+/// N-sigma quantile disagreement in sigma units, the analytic engine's
+/// live arrival storage at its peak level barrier (peak_live_locals local
+/// entries of 40 bytes), and its thread-count determinism (1 vs 4 lanes
+/// byte-identical). The JSON perf record lands in ssta_analytic_perf.json.
 int run_ssta_sweep(const std::string& json_path) {
   using clock = std::chrono::steady_clock;
   const TechParams tech = TechParams::nominal28();
@@ -389,7 +390,7 @@ int run_ssta_sweep(const std::string& json_path) {
        << "  \"sweep\": [";
   bool first = true;
   bool ok = true;
-  for (const int target : {100, 250, 500}) {
+  for (const int target : {100, 250, 500, 2000, 4000}) {
     RandomNetlistSpec spec;
     spec.name = "ssta_sweep_" + std::to_string(target);
     spec.target_cells = target;
@@ -434,6 +435,11 @@ int run_ssta_sweep(const std::string& json_path) {
     const double mc_s =
         std::chrono::duration<double>(clock::now() - t0).count();
 
+    const double peak_live_mb =
+        static_cast<double>(an.peak_live_locals *
+                            sizeof(decltype(ssta::Arrival::local)::value_type)) /
+        (1024.0 * 1024.0);
+
     // Worst PO quantile disagreement, in units of that PO's sigma.
     double worst_dq = 0.0;
     for (std::size_t p = 0; p < mcr.po_nets.size(); ++p) {
@@ -453,13 +459,15 @@ int run_ssta_sweep(const std::string& json_path) {
          << ", \"mc_seconds\": " << mc_s
          << ", \"speedup\": " << mc_s / an_s
          << ", \"worst_po_quantile_err_sigma\": " << worst_dq
+         << ", \"peak_live_mb\": " << peak_live_mb
          << ", \"threads_byte_identical\": " << (identical ? "true" : "false")
          << "}";
     first = false;
     std::cerr << "[ssta-sweep] " << netlist.name() << ": "
               << netlist.num_cells() << " cells  analytic " << an_s * 1e3
               << " ms  mc " << mc_s << " s  speedup " << mc_s / an_s
-              << "  worst dq " << worst_dq << " sigma"
+              << "  worst dq " << worst_dq << " sigma  peak live "
+              << peak_live_mb << " MB"
               << (identical ? "" : "  MISMATCH") << "\n";
   }
   json << "\n  ]\n}\n";

@@ -72,11 +72,19 @@ Service::Service(const ServiceRefs& refs, ServiceOptions options)
   const StaEngine engine(*refs_.cell_model, *refs_.tech, options_.sta);
   baseline_ = engine.run(*refs_.netlist, *refs_.parasitics);
   baseline_critical_ = engine.extract_critical_path(*refs_.netlist, baseline_);
-  AnalyticSstaOptions sopt;
-  sopt.sta = options_.sta;
-  const AnalyticSsta ssta(*refs_.cell_model, *refs_.wire_model, *refs_.tech,
-                          sopt);
-  ssta_ = ssta.run(*refs_.netlist, *refs_.parasitics);
+}
+
+const AnalyticSsta::Result& Service::ssta_baseline(CancellationToken& token) {
+  const std::lock_guard<std::mutex> lock(ssta_mu_);
+  if (!ssta_) {
+    AnalyticSstaOptions sopt;
+    sopt.sta = options_.sta;
+    sopt.sta.exec.cancel = &token;
+    const AnalyticSsta ssta(*refs_.cell_model, *refs_.wire_model, *refs_.tech,
+                            sopt);
+    ssta_ = ssta.run(*refs_.netlist, *refs_.parasitics);
+  }
+  return *ssta_;
 }
 
 Service::HandleResult Service::handle(int conn, std::uint64_t seq,
@@ -134,7 +142,7 @@ Service::HandleResult Service::dispatch(int conn, const RequestHeader& h,
       require_clean_body(r, "critical");
       return {do_critical(h), false};
     case ReqType::kSstaMoments:
-      return {do_ssta_moments(h, r), false};
+      return {do_ssta_moments(h, r, token), false};
     case ReqType::kLint:
       require_clean_body(r, "lint");
       return {do_lint(h, token), false};
@@ -199,15 +207,17 @@ std::string Service::do_critical(const RequestHeader& h) {
 }
 
 std::string Service::do_ssta_moments(const RequestHeader& h,
-                                     net::WireReader& r) {
+                                     net::WireReader& r,
+                                     CancellationToken& token) {
   const std::string name = r.str();
   require_clean_body(r, "ssta-moments");
   const int net = resolve_net(*refs_.netlist, name);
+  const AnalyticSsta::Result& ssta = ssta_baseline(token);
   net::WireWriter w = ok_response(h.request_id);
   w.u32(static_cast<std::uint32_t>(net));
   for (int edge = 0; edge < 2; ++edge) {
     const auto& es =
-        ssta_.nets[static_cast<std::size_t>(net)][static_cast<std::size_t>(edge)];
+        ssta.nets[static_cast<std::size_t>(net)][static_cast<std::size_t>(edge)];
     w.u8(es.reachable ? 1 : 0);
     w.f64(es.moments.mu);
     w.f64(es.moments.sigma);

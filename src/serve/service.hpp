@@ -1,15 +1,18 @@
 #pragma once
 // Request router and session registry of the nsdc_serve daemon: owns the
-// per-design baseline results (one StaEngine run + one AnalyticSsta run,
-// computed at construction so every query after that is a cache read) and
-// executes decoded requests against the loaded design.
+// per-design baseline results and executes decoded requests against the
+// loaded design. The StaEngine baseline is computed at construction; the
+// AnalyticSsta baseline on the first kSstaMoments request, so a daemon that
+// is never asked for moments never pays its time or memory. Every query
+// after that is a cache read.
 //
 // Threading contract: handle() is called concurrently for requests of
 // DIFFERENT connections (the daemon batches at most one in-flight request
 // per connection), so everything a handler touches is either immutable
-// (the refs, the baselines), connection-private (an edit session — the
-// per-connection serialization makes its netlist/IncrementalSta
-// single-threaded), or guarded (the session registry map itself). Session
+// (the refs, the STA baseline), computed once under a mutex (the SSTA
+// baseline), connection-private (an edit session — the per-connection
+// serialization makes its netlist/IncrementalSta single-threaded), or
+// guarded (the session registry map itself). Session
 // ids are derived from (connection, per-connection counter), never from a
 // shared counter, so the id a client sees does not depend on how requests
 // of other connections interleave — part of the per-session
@@ -32,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -76,8 +80,9 @@ struct ServiceOptions {
 
 class Service {
  public:
-  /// Computes the baseline STA + analytic-SSTA results (the expensive
-  /// load-once step). Throws what the engines throw on a broken design.
+  /// Computes the baseline STA result (the load-once step; the SSTA
+  /// baseline waits for the first kSstaMoments request). Throws what the
+  /// engine throws on a broken design.
   Service(const ServiceRefs& refs, ServiceOptions options = {});
 
   struct HandleResult {
@@ -112,7 +117,8 @@ class Service {
   std::string do_ping(const RequestHeader& h);
   std::string do_arrival(const RequestHeader& h, net::WireReader& r);
   std::string do_critical(const RequestHeader& h);
-  std::string do_ssta_moments(const RequestHeader& h, net::WireReader& r);
+  std::string do_ssta_moments(const RequestHeader& h, net::WireReader& r,
+                              CancellationToken& token);
   std::string do_lint(const RequestHeader& h, CancellationToken& token);
   std::string do_netmc(const RequestHeader& h, net::WireReader& r,
                        CancellationToken& token);
@@ -131,11 +137,20 @@ class Service {
   /// with UsageError.
   static int resolve_net(const GateNetlist& nl, const std::string& name);
 
+  /// The SSTA baseline, run under `token` by the first caller. A run that
+  /// throws (cancelled, injected fault) caches nothing, so the next request
+  /// runs it again.
+  const AnalyticSsta::Result& ssta_baseline(CancellationToken& token);
+
   ServiceRefs refs_;
   ServiceOptions options_;
   StaEngine::Result baseline_;
   PathDescription baseline_critical_;
-  AnalyticSsta::Result ssta_;
+  // A mutex rather than std::call_once: libstdc++'s call_once runs on
+  // pthread_once, and under ThreadSanitizer a call whose callable threw
+  // leaves the flag marked running, so the retry would block forever.
+  std::mutex ssta_mu_;
+  std::optional<AnalyticSsta::Result> ssta_;  ///< guarded by ssta_mu_
 
   mutable std::mutex sessions_mu_;
   std::map<std::uint32_t, Session> sessions_;

@@ -816,6 +816,12 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
   std::vector<SstaArc> arcs;
   std::vector<SstaTask> tasks;
   std::vector<std::size_t> level_task_end;
+  // Per net, as barrier indices (barrier 0 precedes level 0, barrier b > 0
+  // follows level b - 1): the barrier after the level whose tasks write its
+  // arrivals (0 when none do), and the one after the last level that reads
+  // them (its own barrier when nothing does).
+  std::vector<std::size_t> written_at(n_nets, 0);
+  std::vector<std::size_t> last_read_at(n_nets, 0);
   arcs.reserve(4 * n_cells);
   tasks.reserve(2 * n_cells);
   level_task_end.reserve(g.num_levels());
@@ -825,6 +831,8 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
       if (!nom.nets[outn].reachable) continue;
       cell_pos[static_cast<std::size_t>(g.cell_id(pos))] = n_locals++;
       net_pos[outn] = n_locals++;
+      written_at[outn] = l + 1;
+      last_read_at[outn] = l + 1;
       const double load = nom.net_load[outn];
       const bool inverting = g.inverting(pos);
       const Id a0 = g.fanin_begin(pos);
@@ -842,6 +850,7 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
           if (fan_id == FlatTimingGraph::kNoId) continue;  // unconnected pin
           const auto fan = static_cast<std::size_t>(fan_id);
           if (!nom.nets[fan].reachable) continue;
+          last_read_at[fan] = l + 1;
           SstaArc a;
           a.src_slot = fan * 2 + static_cast<std::size_t>(in_edge);
           a.cell_local = cell_pos[static_cast<std::size_t>(g.cell_id(pos))];
@@ -870,6 +879,30 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
     level_task_end.push_back(tasks.size());
   }
 
+  // Endpoints: reachable primary outputs, ascending.
+  std::vector<int> po_nets = netlist.primary_outputs();
+  std::erase_if(po_nets, [&](int po) {
+    return !nom.nets[static_cast<std::size_t>(po)].reachable;
+  });
+  std::sort(po_nets.begin(), po_nets.end());
+  out.po_nets = po_nets;
+  const std::size_t n_pos = po_nets.size();
+  out.po_moments.resize(n_pos);
+  out.po_quantiles.resize(n_pos);
+
+  // A PO's worst edge folds at the barrier where its net is written, and a
+  // net's arrivals are released at the barrier of its last reader, so the
+  // live set spans the cut across one level instead of the whole graph.
+  const std::size_t n_barriers = level_task_end.size() + 1;
+  std::vector<std::vector<std::size_t>> po_at(n_barriers);
+  std::vector<std::vector<std::size_t>> release_at(n_barriers);
+  for (std::size_t p = 0; p < n_pos; ++p) {
+    po_at[written_at[static_cast<std::size_t>(po_nets[p])]].push_back(p);
+  }
+  for (std::size_t n = 0; n < n_nets; ++n) {
+    release_at[last_read_at[n]].push_back(n);
+  }
+
   // Levelized propagation with a barrier between levels: each task writes
   // only its own output slot and reads only lower-level slots, so the
   // result is byte-identical at any thread count.
@@ -878,6 +911,46 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
       parallel ? options_.sta.exec : options_.sta.exec.with_threads(1);
   CancellationToken* token = exec.cancel;
   std::vector<ssta::Arrival> arr(2 * n_nets);
+  // Finished PO worst edges wait here until every lower PO has been folded
+  // into `circuit`, so the circuit max folds in ascending PO order.
+  std::vector<ssta::Arrival> po_worst(n_pos);
+  std::size_t n_folded = 0;
+  ssta::Arrival circuit;
+  std::size_t live = 0;  // local entries held by arr and po_worst
+  const auto barrier = [&](std::size_t b) {
+    const std::vector<std::size_t>& finished = po_at[b];
+    exec.parallel_for(finished.size(), [&](std::size_t i) {
+      const std::size_t p = finished[i];
+      const auto po = static_cast<std::size_t>(po_nets[p]);
+      ssta::Arrival& worst = po_worst[p];
+      worst = arr[2 * po];
+      ssta::Arrival::stat_max_into(worst, arr[2 * po + 1]);
+      out.po_moments[p] = worst.moments();
+      out.po_quantiles[p] = cf_sigma_quantiles(out.po_moments[p]);
+    });
+    for (const std::size_t p : finished) live += po_worst[p].local.size();
+    for (; n_folded < n_pos &&
+           written_at[static_cast<std::size_t>(po_nets[n_folded])] <= b;
+         ++n_folded) {
+      ssta::Arrival& worst = po_worst[n_folded];
+      live -= worst.local.size();
+      if (n_folded == 0) {
+        circuit = std::move(worst);
+      } else {
+        ssta::Arrival::stat_max_into(circuit, worst);
+      }
+      worst = ssta::Arrival{};
+    }
+    out.peak_live_locals = std::max(out.peak_live_locals, live);
+    for (const std::size_t n : release_at[b]) {
+      const std::size_t slot = 2 * n;
+      live -= arr[slot].local.size() + arr[slot + 1].local.size();
+      arr[slot] = ssta::Arrival{};
+      arr[slot + 1] = ssta::Arrival{};
+    }
+  };
+
+  barrier(0);
   std::size_t task_begin = 0;
   for (std::size_t li = 0; li < level_task_end.size(); ++li) {
     fault_fire("ssta.level", li, token);
@@ -931,49 +1004,33 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
       best.ensure_locals(rekey + 1);
       best.local[rekey][3 + (t.out_slot & 1)] = std::sqrt(best.l2);
       best.l2 = 0.0;
+      out.nets[t.out_slot / 2][t.out_slot & 1] = {best.moments(), true};
       arr[t.out_slot] = std::move(best);
     });
+    for (std::size_t i = task_begin; i < task_end; ++i) {
+      live += arr[tasks[i].out_slot].local.size();
+    }
+    barrier(li + 1);
     task_begin = task_end;
   }
   out.levels = level_task_end.size();
 
-  // Per-net-edge arrival summaries.
-  exec.parallel_for(n_nets, [&](std::size_t n) {
-    if (!nom.nets[n].reachable) return;
-    for (std::size_t e = 0; e < 2; ++e) {
-      out.nets[n][e].moments = arr[n * 2 + e].moments();
-      out.nets[n][e].reachable = true;
+  // Undriven (primary-input) nets keep the zero default arrival.
+  const Moments pi_moments = ssta::Arrival{}.moments();
+  for (std::size_t n = 0; n < n_nets; ++n) {
+    if (!nom.nets[n].reachable) continue;
+    for (auto& es : out.nets[n]) {
+      if (!es.reachable) es = {pi_moments, true};
     }
-  });
+  }
 
-  // Endpoint distributions: worst edge per PO, then the circuit max.
-  std::vector<int> po_nets = netlist.primary_outputs();
-  std::erase_if(po_nets, [&](int po) {
-    return !nom.nets[static_cast<std::size_t>(po)].reachable;
-  });
-  std::sort(po_nets.begin(), po_nets.end());
-  out.po_nets = po_nets;
-  const std::size_t n_pos = po_nets.size();
-  out.po_moments.resize(n_pos);
-  out.po_quantiles.resize(n_pos);
-  ssta::Arrival circuit;
   double worst_mean = -1.0;
   for (std::size_t p = 0; p < n_pos; ++p) {
-    const auto po = static_cast<std::size_t>(po_nets[p]);
-    ssta::Arrival worst = arr[2 * po];
-    ssta::Arrival::stat_max_into(worst, arr[2 * po + 1]);
-    out.po_moments[p] = worst.moments();
-    out.po_quantiles[p] = cf_sigma_quantiles(out.po_moments[p]);
     if (out.po_moments[p].mu > worst_mean) {
       worst_mean = out.po_moments[p].mu;
       out.worst_po = po_nets[p];
       out.worst_po_moments = out.po_moments[p];
       out.worst_po_quantiles = out.po_quantiles[p];
-    }
-    if (p == 0) {
-      circuit = std::move(worst);
-    } else {
-      ssta::Arrival::stat_max_into(circuit, worst);
     }
   }
   if (n_pos > 0) {

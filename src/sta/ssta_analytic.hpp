@@ -41,6 +41,14 @@
 // at any thread count, like the mean engine. With variation_scale = 0 every
 // stage collapses to its nominal delay and the propagated arrivals equal
 // the mean engine's (and a 1-sample MC's) to the last bit.
+//
+// Memory: a local vector spans its fanin cone's topological index range,
+// so holding every arrival to the end would cost O(cells^2). A net's
+// arrivals are released at the barrier of the last level that reads them,
+// and each PO's worst edge folds into the circuit max as soon as every
+// lower PO id has, so only the arrivals crossing a level cut stay live
+// (Result::peak_live_locals). Every fold takes the same inputs in the same
+// order either way.
 
 #include <array>
 #include <cstddef>
@@ -270,6 +278,11 @@ class AnalyticSsta {
     Moments worst_po_moments;
     std::array<double, 7> worst_po_quantiles{};
     std::size_t levels = 0;  ///< levelized barriers traversed
+    /// Most `local` entries (40 bytes each) held at any level barrier:
+    /// net-edge arrivals that a later level or PO fold still reads, plus PO
+    /// worst-edge arrivals waiting for the circuit fold. Depends on the
+    /// netlist alone, not on the thread count.
+    std::size_t peak_live_locals = 0;
     double runtime_seconds = 0.0;
   };
 

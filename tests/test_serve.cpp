@@ -2,10 +2,11 @@
 // contract (malformed / truncated / oversized frames and bad requests
 // never kill it), per-session byte-determinism at 1 vs 4 threads with 4
 // concurrent clients, per-request deadlines mapping to the cancelled
-// status while the pool stays reusable, edit sessions byte-identical to
-// offline IncrementalSta, duplicate-net-name query rejection, and the
-// argparse rejection matrix — unit level plus the three CLIs exiting 3 on
-// invalid argument values.
+// status while the pool stays reusable, the SSTA baseline computed on the
+// first request and run again after a failed run, edit sessions
+// byte-identical to offline IncrementalSta, duplicate-net-name query
+// rejection, and the argparse rejection matrix — unit level plus the three
+// CLIs exiting 3 on invalid argument values.
 #include "serve/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include "synthetic_charlib.hpp"
 #include "util/argparse.hpp"
 #include "util/errors.hpp"
+#include "util/faultinject.hpp"
 
 namespace nsdc {
 namespace {
@@ -431,6 +433,37 @@ TEST_F(ServeTest, FourConcurrentClientsByteIdenticalAtOneAndFourThreads) {
           << " diverged between 1 and 4 lanes";
     }
   }
+}
+
+TEST_F(ServeTest, SstaBaselineRunsOnFirstRequestAndRetriesAfterAFailure) {
+  // The SSTA baseline is computed by the first kSstaMoments request. A run
+  // that throws caches nothing: the next request runs it again and answers
+  // with the moments of an offline run.
+  serve::Service svc(refs());
+  const std::string po_name = nl.net(svc.baseline().critical_net).name;
+  install_fault_plan(FaultPlan::parse("ssta.level@2=throw"));
+  const auto failed =
+      head_of(svc.handle(1, 0, serve::make_ssta_moments(1, po_name)).response);
+  clear_fault_plan();
+  EXPECT_EQ(failed.status, serve::Status::kInternal) << failed.error;
+
+  const std::string resp =
+      svc.handle(1, 1, serve::make_ssta_moments(2, po_name)).response;
+  net::WireReader r(resp);
+  const auto head = serve::read_response_head(r);
+  ASSERT_EQ(head.status, serve::Status::kOk) << head.error;
+  const AnalyticSsta::Result offline =
+      AnalyticSsta(cell_model, wire_model, tech).run(nl, spef);
+  const auto net = static_cast<std::size_t>(nl.find_net(po_name));
+  EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(net));
+  for (const auto& es : offline.nets[net]) {
+    EXPECT_EQ(r.u8(), es.reachable ? 1 : 0);
+    EXPECT_EQ(r.f64(), es.moments.mu);
+    EXPECT_EQ(r.f64(), es.moments.sigma);
+    EXPECT_EQ(r.f64(), es.moments.gamma);
+    EXPECT_EQ(r.f64(), es.moments.kappa);
+  }
+  EXPECT_TRUE(r.at_end());
 }
 
 // --- Edit sessions ----------------------------------------------------------

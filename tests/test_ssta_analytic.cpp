@@ -3,13 +3,16 @@
 // standard-error bounds (never hand-tuned epsilons), N-sigma quantile
 // agreement, byte-identity across thread counts, property tests of the
 // moment algebra, Clark's exact Gaussian max as the oracle of the Gaussian
-// mode (moment_shaping = false), and a golden c17 CSV regression.
-// Regenerate the golden after an *intentional* model change with:
+// mode (moment_shaping = false), a golden c17 CSV regression, an exact
+// hex-float golden of the endpoint folds on a crafted netlist, and the
+// live-arrival bound. Regenerate the goldens after an *intentional* model
+// change with:
 //   NSDC_REGEN_GOLDEN=1 ./tests/test_ssta_analytic
 #include "sta/ssta_analytic.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -794,6 +797,153 @@ TEST(SstaAnalyticGolden, C17MomentsAndQuantilesMatchGoldenCsv) {
           << name << " level " << lv - 3;
     }
   }
+}
+
+
+// ---------------------------------------- endpoints, bit for bit (hex) --
+
+/// PIs a, b, c; c is directly a PO. The deep cone is built first, so its
+/// POs get the lowest net ids but finish at the latest levels, and the
+/// shallow POs created after it finish first and wait for them in the
+/// circuit fold. d2 is a PO that also feeds d3; r reconverges d1 and s1.
+GateNetlist crafted_endpoint_netlist(const CellLibrary& cells) {
+  const CellType& inv = cells.by_name("INVx1");
+  const CellType& nand = cells.by_name("NAND2x1");
+  const CellType& nor = cells.by_name("NOR2x1");
+  GateNetlist nl("endpoints");
+  const int a = nl.add_primary_input("a");
+  const int b = nl.add_primary_input("b");
+  const int c = nl.add_primary_input("c");
+  nl.mark_primary_output(c);
+  auto gate = [&](const CellType& type, std::vector<int> fanin,
+                  const std::string& out) {
+    return nl.cell(nl.add_cell("u_" + out, type, fanin, out)).out_net;
+  };
+  std::vector<int> d;
+  for (int i = 0; i < 6; ++i) {
+    const int in = i == 0 ? a : d.back();
+    const std::string out = "d" + std::to_string(i);
+    d.push_back(i % 2 == 0 ? gate(inv, {in}, out) : gate(nand, {in, b}, out));
+  }
+  nl.mark_primary_output(d[2]);
+  nl.mark_primary_output(d[5]);
+  const int s1 = gate(nor, {d[0], c}, "s1");
+  const int s0 = gate(nand, {b, c}, "s0");
+  const int r = gate(nand, {d[1], s1}, "r");
+  for (const int po : {s1, s0, r}) nl.mark_primary_output(po);
+  return nl;
+}
+
+/// Every field of an analytic result that the endpoint folds produce, one
+/// line each, doubles as exact hex floats.
+std::vector<std::string> hex_lines(const GateNetlist& nl,
+                                   const AnalyticSsta::Result& r) {
+  std::vector<std::string> lines;
+  char buf[256];
+  auto moments = [&](const std::string& tag, const Moments& m) {
+    std::snprintf(buf, sizeof(buf), "%s %a %a %a %a", tag.c_str(), m.mu,
+                  m.sigma, m.gamma, m.kappa);
+    lines.emplace_back(buf);
+  };
+  auto quantiles = [&](const std::string& tag,
+                       const std::array<double, 7>& q) {
+    std::string line = tag;
+    for (const double v : q) {
+      std::snprintf(buf, sizeof(buf), " %a", v);
+      line += buf;
+    }
+    lines.push_back(line);
+  };
+  for (std::size_t n = 0; n < r.nets.size(); ++n) {
+    for (std::size_t e = 0; e < 2; ++e) {
+      const auto& es = r.nets[n][e];
+      moments("net " + nl.net(static_cast<int>(n)).name + " " +
+                  std::to_string(e) + " " + (es.reachable ? "1" : "0"),
+              es.moments);
+    }
+  }
+  for (std::size_t p = 0; p < r.po_nets.size(); ++p) {
+    const std::string& name = nl.net(r.po_nets[p]).name;
+    moments("po " + name, r.po_moments[p]);
+    quantiles("po_q " + name, r.po_quantiles[p]);
+  }
+  moments("circuit", r.circuit_moments);
+  quantiles("circuit_q", r.circuit_quantiles);
+  lines.push_back("worst_po " + nl.net(r.worst_po).name);
+  moments("worst_po", r.worst_po_moments);
+  quantiles("worst_po_q", r.worst_po_quantiles);
+  return lines;
+}
+
+TEST(SstaAnalyticEndpoints, CraftedEndpointsMatchHexGoldenAt1And4Lanes) {
+  const Fixture f;
+  const GateNetlist nl = crafted_endpoint_netlist(f.cells);
+  const ParasiticDb spef = generate_parasitics(nl, f.tech);
+  auto run_at = [&](unsigned lanes) {
+    AnalyticSstaOptions opt;
+    opt.sta.exec.threads = lanes;
+    opt.sta.exec.grain = 1;
+    opt.sta.min_parallel_cells = 1;
+    return hex_lines(nl, f.run_analytic(nl, spef, opt));
+  };
+  const std::vector<std::string> got = run_at(1);
+
+  const std::string golden_path = repo_path("data/ssta_endpoints_golden.txt");
+  if (std::getenv("NSDC_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good());
+    for (const std::string& line : got) out << line << "\n";
+    GTEST_SKIP() << "regenerated " << golden_path;
+  }
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "missing golden file: " << golden_path;
+  std::vector<std::string> want;
+  for (std::string line; std::getline(in, line);) want.push_back(line);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(run_at(4), want);
+}
+
+
+// ------------------------------------------------------ bounded memory --
+
+TEST(SstaAnalyticMemory, ChainPeakLiveLocalsLinearInCells) {
+  // A 2,000-stage INVx1 chain has 2 * 2000 + 1 local indices: the PI, then
+  // each cell's draw and its output net. Net i's two arrivals span 2i + 3
+  // of them, so holding every arrival to the end would cost ~8M entries.
+  // Releasing each net after its one reader leaves at most the last two
+  // nets' four arrivals, ~4x the index count.
+  const Fixture f(/*full=*/false);
+  const CellType& inv = f.cells.by_name("INVx1");
+  constexpr std::size_t kStages = 2000;
+  GateNetlist nl("chain");
+  int net = nl.add_primary_input("a");
+  for (std::size_t i = 0; i < kStages; ++i) {
+    const std::string id = std::to_string(i);
+    net = nl.cell(nl.add_cell("u" + id, inv, {net}, "n" + id)).out_net;
+  }
+  nl.mark_primary_output(net);
+  const ParasiticDb spef = generate_parasitics(nl, f.tech);
+  const auto r = f.run_analytic(nl, spef);
+  const std::size_t n_locals = 2 * kStages + 1;
+  EXPECT_GT(r.peak_live_locals, 0u);
+  EXPECT_LE(r.peak_live_locals, 4 * n_locals);
+}
+
+TEST(SstaAnalyticMemory, PeakLiveLocalsEqualAt1And4And16Lanes) {
+  const Fixture f;
+  const GateNetlist nl = generate_iscas_like("C432", f.cells);
+  const ParasiticDb spef = generate_parasitics(nl, f.tech);
+  auto peak_at = [&](unsigned lanes) {
+    AnalyticSstaOptions opt;
+    opt.sta.exec.threads = lanes;
+    opt.sta.exec.grain = 1;
+    opt.sta.min_parallel_cells = 1;  // force the pool even on small designs
+    return f.run_analytic(nl, spef, opt).peak_live_locals;
+  };
+  const std::size_t ref = peak_at(1);
+  EXPECT_GT(ref, 0u);
+  EXPECT_EQ(peak_at(4), ref);
+  EXPECT_EQ(peak_at(16), ref);
 }
 
 }  // namespace

@@ -12,8 +12,9 @@
 //   --netmc N     after STA, run an N-sample whole-netlist Monte Carlo and
 //                 print the worst-PO moments and empirical quantiles.
 //   --ssta        run the analytic four-moment SSTA engine on the smoke
-//                 design and print the worst-PO moments and N-sigma
-//                 quantiles (with --netmc, side by side with the MC run).
+//                 design and print its peak live arrival storage, the
+//                 worst-PO moments and N-sigma quantiles (with --netmc,
+//                 side by side with the MC run).
 //   --lint        run the nsdc_lint rules on the smoke design before timing
 //                 and print the report.
 //   --lint-strict same, but exit with the lint status when errors are found
@@ -277,8 +278,14 @@ int tool_main(int argc, char** argv) {
     const AnalyticSsta engine(timer.cell_model(), timer.wire_model(), tech,
                               sopt);
     const auto sr = engine.run(nl, spef);
-    std::printf("analytic SSTA: %zu POs, %zu levels, runtime %.4fs\n",
-                sr.po_nets.size(), sr.levels, sr.runtime_seconds);
+    const double peak_live_mb =
+        static_cast<double>(sr.peak_live_locals *
+                            sizeof(decltype(ssta::Arrival::local)::value_type)) /
+        (1024.0 * 1024.0);
+    std::printf("analytic SSTA: %zu POs, %zu levels, runtime %.4fs, "
+                "peak live arrivals %.2f MB\n",
+                sr.po_nets.size(), sr.levels, sr.runtime_seconds,
+                peak_live_mb);
     if (sr.worst_po >= 0) {
       std::printf("SSTA worst PO %s: mu %.1f ps sigma %.2f ps gamma %.2f "
                   "kappa %.2f\n",

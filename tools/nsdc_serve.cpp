@@ -2,7 +2,8 @@
 // design, characterizes/fits the N-sigma models ONCE, then serves timing
 // queries over a length-prefixed binary protocol (DESIGN.md §13):
 // path/arrival and critical-path queries against the cached baseline STA,
-// analytic-SSTA arrival moments, lint runs, Monte-Carlo runs with
+// analytic-SSTA arrival moments (the SSTA baseline runs on the first such
+// request and is cached from then on), lint runs, Monte-Carlo runs with
 // per-request sample budgets, and stateful edit sessions that stream
 // netlist edits through IncrementalSta.
 //
