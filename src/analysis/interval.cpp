@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "core/nsigma_wire.hpp"
+
 namespace nsdc::analysis {
 
 namespace {
@@ -168,7 +170,7 @@ Interval cell_stat_range(const MomentIntervals& m, double z_max,
                          bool moment_shaping) {
   Interval shape{-z_max, z_max};
   if (moment_shaping) {
-    // netmc's exact coefficient construction (no from_moments clamps):
+    // StatArc::cell's coefficient construction (no from_moments clamps):
     // g6 = gamma/6, k24 = kappa/24, g36 = gamma^2/36. Treating g36 as an
     // independent box is conservative (sound) w.r.t. its correlation with
     // g6; for a degenerate gamma interval it is exact.
@@ -186,11 +188,12 @@ Interval cell_stat_range(const MomentIntervals& m, double z_max,
 
 Interval wire_range(double elmore, double xw, double z_max) {
   // Inner affine term elmore * (1 + xw * z) is monotone in z, so its range
-  // is spanned by the z = +-z_max endpoints; the sampler's left-tail floor
-  // max(0.05 * elmore, .) is monotone and endpoint-exact.
+  // is spanned by the z = +-z_max endpoints; wire_stage_delay's left-tail
+  // floor is monotone and endpoint-exact.
   const double a = elmore * (1.0 - xw * z_max);
   const double b = elmore * (1.0 + xw * z_max);
-  return iv_floor_at({std::min(a, b), std::max(a, b)}, 0.05 * elmore);
+  return iv_floor_at({std::min(a, b), std::max(a, b)},
+                     kWireDelayFloor * elmore);
 }
 
 }  // namespace nsdc::analysis

@@ -24,15 +24,18 @@
 //                      coefficient boxes (g6, k24, g36). shape is linear in
 //                      the coefficients at fixed z, so the sup over the box
 //                      is attained at a corner; per corner the z-range is
-//                      an exact cubic range. netmc builds g6 = gamma/6,
-//                      k24 = kappa/24, g36 = gamma^2/36 WITHOUT the
-//                      from_moments clamps — this mirrors that construction.
-//   cell_stat_range    max(0, mu + sigma * shape(z)) — the exact function
-//                      NetlistMonteCarlo samples and AnalyticSsta
+//                      an exact cubic range. StatArc::cell builds
+//                      g6 = gamma/6, k24 = kappa/24, g36 = gamma^2/36
+//                      WITHOUT the from_moments clamps; the boxes follow
+//                      that construction.
+//   cell_stat_range    cell_stage_delay over a StatArc whose moments lie
+//                      in the boxes: max(0, mu + sigma * shape(z)), the
+//                      function NetlistMonteCarlo samples and AnalyticSsta
 //                      integrates (Gauss-Hermite nodes at order 16 lie
 //                      within +-4.7 < z_max's default 6).
-//   wire_range         max(0.05 * elmore, elmore * (1 + xw * z)) — Eq. 7
-//                      with the sampler's left-tail floor.
+//   wire_range         wire_stage_delay: max(kWireDelayFloor * elmore,
+//                      elmore * (1 + xw * z)), Eq. 9 with the left-tail
+//                      floor.
 //
 // Every bound is a "z_max certificate": it holds for all standard scores
 // with |z| <= z_max per draw. Computed ranges are widened by a relative
@@ -106,12 +109,12 @@ Interval grid_range_x(const Grid2D& grid, const Interval& x_iv, double y);
 /// Range of the sampled cell delay max(0, mu + sigma_scaled * shape(z))
 /// over the moment boxes and |z| <= z_max. `sigma` must already carry the
 /// variation scale; when `moment_shaping` is false shape is the identity
-/// (Gaussian draws), matching NetMcOptions::moment_shaping.
+/// (Gaussian draws), matching StatModelOptions::moment_shaping.
 Interval cell_stat_range(const MomentIntervals& m, double z_max,
                          bool moment_shaping);
 
-/// Range of the sampled wire delay max(0.05*elmore, elmore*(1 + xw*z))
-/// over |z| <= z_max. `xw` must already carry the variation scale.
+/// Range of wire_stage_delay(elmore, xw, z) over |z| <= z_max. `xw` must
+/// already carry the variation scale.
 Interval wire_range(double elmore, double xw, double z_max);
 
 }  // namespace nsdc::analysis

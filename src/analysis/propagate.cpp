@@ -1,9 +1,12 @@
-// Monotone interval propagation (pass "analysis.intervals"). Mirrors the
+// Monotone interval propagation (pass "analysis.intervals"). Follows the
 // propagation structure of flat_kernel::flat_propagate_cell and the arc
-// construction of NetlistMonteCarlo exactly — same compiled graph and
-// bound per-arc records, same edge/in_rising semantics, same reachability
-// rules, same frozen loads, same Eq. 7 wire term with the "INVx4"
-// PI-driver fallback — but carries [lo, hi] intervals instead of scalars.
+// set of freeze_stat_arcs (the StatArc records both statistical engines
+// read) — same compiled graph and bound per-arc records, same
+// edge/in_rising semantics, same reachability rules, same frozen loads,
+// same Eq. 7 wire term with the "INVx4" PI-driver fallback — but carries
+// [lo, hi] intervals instead of scalars. It keeps its own per-arc walk
+// because it carries slew intervals, which moments frozen at one nominal
+// slew cannot represent.
 // Soundness of each per-arc enclosure lives in interval.hpp; soundness of
 // the fold is monotonicity: both interval addition and the interval max
 // preserve lower AND upper bounds, so the per-net result bounds every

@@ -126,14 +126,16 @@ VerifyFacts verify_engines(const AnalysisInput& input,
          std::string("StaEngine failed: ") + e.what(), "", 0});
   }
 
+  // Both statistical engines model the one system these options define.
+  StatModelOptions model_opts;
+  model_opts.die_to_die_share = options.die_to_die_share;
+  model_opts.variation_scale = options.variation_scale;
+  model_opts.moment_shaping = options.moment_shaping;
+  model_opts.sta = sta_cfg;
+
   try {
-    AnalyticSstaOptions ssta_opts;
-    ssta_opts.die_to_die_share = options.die_to_die_share;
-    ssta_opts.variation_scale = options.variation_scale;
-    ssta_opts.moment_shaping = options.moment_shaping;
-    ssta_opts.sta = sta_cfg;
     const AnalyticSsta ssta(*input.cell_model, *input.wire_model,
-                            *input.tech, ssta_opts);
+                            *input.tech, model_opts);
     const AnalyticSsta::Result res = ssta.run(nl, *input.parasitics);
     for (std::size_t n = 0; n < res.nets.size(); ++n) {
       const NetBounds& nb = intervals.nets[n];
@@ -166,13 +168,8 @@ VerifyFacts verify_engines(const AnalysisInput& input,
   }
 
   try {
-    NetMcOptions mc_opts;
-    mc_opts.die_to_die_share = options.die_to_die_share;
-    mc_opts.variation_scale = options.variation_scale;
-    mc_opts.moment_shaping = options.moment_shaping;
-    mc_opts.sta = sta_cfg;
     const NetlistMonteCarlo mc(*input.cell_model, *input.wire_model,
-                               *input.tech, mc_opts);
+                               *input.tech, NetMcOptions{model_opts});
     McConfig mc_cfg;
     mc_cfg.samples = options.verify_samples;
     mc_cfg.seed = options.verify_seed;

@@ -144,8 +144,7 @@ double NSigmaWireModel::quantile(double elmore, double xw_value,
 
 double NSigmaWireModel::quantile_at(double elmore, double xw_value,
                                     double n_sigma) const {
-  const double n = std::clamp(n_sigma, -6.0, 6.0);
-  return std::max((1.0 + n * xw_value) * elmore, 0.05 * elmore);
+  return wire_stage_delay(elmore, xw_value, std::clamp(n_sigma, -6.0, 6.0));
 }
 
 std::array<double, 7> NSigmaWireModel::quantiles(double elmore,

@@ -35,6 +35,21 @@
 
 namespace nsdc {
 
+/// Left-tail floor of a wire delay, as a fraction of its Elmore mean: a
+/// large X_w never drives a -n sigma wire delay below 5% of Elmore.
+inline constexpr double kWireDelayFloor = 0.05;
+
+/// Wire delay at standard score z, Eq. 9 with the left-tail floor:
+/// max(kWireDelayFloor * elmore, elmore * (1 + xw * z)). The one function
+/// NetlistMonteCarlo samples, AnalyticSsta integrates and quantile_at
+/// evaluates.
+inline double wire_stage_delay(double elmore, double xw, double z) {
+  double d = elmore * (1.0 + xw * z);
+  const double floor_w = kWireDelayFloor * elmore;
+  if (d < floor_w) d = floor_w;
+  return d;
+}
+
 class NSigmaWireModel {
  public:
   /// Per-observation fit diagnostics (paper Fig. 9 / Fig. 10 inputs).
@@ -74,8 +89,8 @@ class NSigmaWireModel {
   double quantile(double elmore, double xw_value, int level_index) const;
   std::array<double, 7> quantiles(double elmore, double xw_value) const;
 
-  /// Eq. 9 at an arbitrary sigma level (clamped to [-6, 6]); the -n side
-  /// is floored at 5% of Elmore like the calculator's guard.
+  /// Eq. 9 at an arbitrary sigma level (clamped to [-6, 6]):
+  /// wire_stage_delay at that level, floor included.
   double quantile_at(double elmore, double xw_value, double n_sigma) const;
 
   const std::vector<ObservationReport>& report() const { return report_; }

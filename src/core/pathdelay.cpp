@@ -20,7 +20,7 @@ std::vector<PathDelayCalculator::StageQuantiles> PathDelayCalculator::breakdown(
       sq.xw = wire_model_.xw(stage.cell->name(), load);
       sq.wire = wire_model_.quantiles(sq.elmore, sq.xw);
       // Guard: a huge X_w must not drive the -3s wire delay negative.
-      for (double& q : sq.wire) q = std::max(q, 0.05 * sq.elmore);
+      for (double& q : sq.wire) q = std::max(q, kWireDelayFloor * sq.elmore);
     }
     out.push_back(sq);
   }

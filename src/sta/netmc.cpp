@@ -9,8 +9,6 @@
 #include <optional>
 #include <string>
 
-#include "netlist/flatgraph.hpp"
-#include "sta/flatsta.hpp"
 #include "stats/quantiles.hpp"
 #include "util/faultinject.hpp"
 #include "util/rng.hpp"
@@ -18,31 +16,6 @@
 namespace nsdc {
 
 namespace {
-
-/// One fanin timing arc of a (cell, output-edge) pair, flattened from the
-/// netlist + nominal pre-pass into the plain numbers the sampling kernel
-/// needs: operating-condition moments, nominal Elmore, and the Eq. 7 wire
-/// variability. Built once; read-only across every sample and shard.
-struct McArc {
-  std::size_t src_slot = 0;  ///< fanin net * 2 + input edge
-  int wire_z = -1;           ///< fanin net index for the wire draw, -1 = none
-  double mu = 0.0;
-  double sigma = 0.0;
-  /// Cornish-Fisher shaping coefficients, shared with the analytic SSTA
-  /// engine via stats/quantiles (all 0 when moment_shaping is off, which
-  /// makes shape() the identity).
-  CornishFisher cf;
-  double elmore = 0.0;
-  double xw = 0.0;
-};
-
-/// One (cell, output-edge) propagation step in levelized order.
-struct McTask {
-  std::size_t out_slot = 0;
-  std::size_t cell = 0;       ///< instance index, for the local cell draw
-  std::uint32_t first_arc = 0;
-  std::uint32_t num_arcs = 0;
-};
 
 /// Fingerprint over the sampler options that change drawn values; bound
 /// into the checkpoint header so a file never resumes a different model
@@ -125,86 +98,11 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
   if (config.samples <= 0) return out;
   const auto n_samples = static_cast<std::size_t>(config.samples);
 
-  // Nominal pre-pass: slews, annotated loads/trees, reachability. Slews are
-  // frozen at their nominal values for every sample (the standard
-  // block-based SSTA simplification, see DESIGN.md), which is what lets the
-  // per-arc moments be precomputed outside the sample loop. The pass keeps
-  // the engine's bound per-arc records (charlib handles + Elmore) and binds
-  // X_w, so the arc build below reads arrays instead of string-keyed model
-  // maps.
-  const StaEngine engine(cell_model_, tech_, options_.sta);
-  const FlatTimingGraph g =
-      FlatTimingGraph::compile(netlist, options_.sta.exec.cancel);
-  FlatArcRecords rec;
-  const StaEngine::Result nom = engine.run(g, netlist, parasitics, &rec);
-  flat_kernel::bind_wire_xw(g, wire_model_, rec);
-
-  // Flatten the timing graph into levelized (cell, edge) tasks over plain
-  // arc records. Positions replay the levelized order, which guarantees
-  // fanin slots are written before they are read; within one sample
-  // propagation is serial, so no intra-sample barriers are needed.
-  const double scale = std::max(options_.variation_scale, 0.0);
-  std::vector<McArc> arcs;
-  std::vector<McTask> tasks;
-  arcs.reserve(2 * n_cells * 2);
-  tasks.reserve(2 * n_cells);
-  using Id = FlatTimingGraph::Id;
-  for (Id pos = 0; pos < g.num_cells(); ++pos) {
-    const auto outn = static_cast<std::size_t>(g.cell_out_net(pos));
-    if (!nom.nets[outn].reachable) continue;
-    const double load = nom.net_load[outn];
-    const bool inverting = g.inverting(pos);
-    const Id a0 = g.fanin_begin(pos);
-    const Id a1 = g.fanin_end(pos);
-    for (int edge = 0; edge < 2; ++edge) {
-      const bool out_rising = edge == 0;
-      const bool in_rising = inverting ? !out_rising : out_rising;
-      const int in_edge = in_rising ? 0 : 1;
-      const auto& models = rec.arc_model[static_cast<std::size_t>(in_edge)];
-      McTask task;
-      task.out_slot = outn * 2 + static_cast<std::size_t>(edge);
-      task.cell = static_cast<std::size_t>(g.cell_id(pos));
-      task.first_arc = static_cast<std::uint32_t>(arcs.size());
-      for (Id arc = a0; arc < a1; ++arc) {
-        const Id fan_id = g.fanin_net(arc);
-        if (fan_id == FlatTimingGraph::kNoId) continue;  // unconnected pin
-        const auto fan = static_cast<std::size_t>(fan_id);
-        if (!nom.nets[fan].reachable) continue;
-        McArc a;
-        a.src_slot = fan * 2 + static_cast<std::size_t>(in_edge);
-        const double slew_in =
-            nom.nets[fan].slew[static_cast<std::size_t>(in_edge)];
-        const CellArcModel* am = models[arc];
-        const Moments m =
-            am ? am->calib.moments_at(slew_in, load)
-               : cell_model_.moments(g.cell_type(pos)->name(),
-                                     static_cast<int>(arc - a0), in_rising,
-                                     slew_in, load);
-        a.mu = m.mu;
-        a.sigma = m.sigma * scale;
-        if (options_.moment_shaping) {
-          a.cf.g6 = m.gamma / 6.0;
-          a.cf.k24 = m.kappa / 24.0;
-          a.cf.g36 = m.gamma * m.gamma / 36.0;
-        }
-        if (rec.has_tree[arc]) {
-          a.elmore = rec.elmore[arc];
-          a.xw = rec.xw[arc] * scale;
-          a.wire_z = static_cast<int>(fan);
-        }
-        arcs.push_back(a);
-        ++task.num_arcs;
-      }
-      if (task.num_arcs > 0) tasks.push_back(task);
-    }
-  }
-
-  // Reachable primary outputs, ascending net id.
-  std::vector<int> po_nets = netlist.primary_outputs();
-  std::erase_if(po_nets, [&](int po) {
-    return !nom.nets[static_cast<std::size_t>(po)].reachable;
-  });
-  std::sort(po_nets.begin(), po_nets.end());
+  // Slews stay frozen at nominal for every sample, which is what lets the
+  // per-arc records be built once, outside the sample loop.
+  const StatArcs sys = freeze_stat_arcs(netlist, parasitics, cell_model_,
+                                        wire_model_, tech_, options_);
+  const std::vector<int>& po_nets = sys.po_nets;
   const std::size_t n_pos = po_nets.size();
   out.po_nets = po_nets;
   out.po_samples.assign(n_pos, std::vector<double>(n_samples, 0.0));
@@ -335,25 +233,21 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
             for (std::size_t c = 0; c < n_cells; ++c) z_cell[c] = rng.normal();
             for (std::size_t n = 0; n < n_nets; ++n) z_wire[n] = rng.normal();
 
-            for (const McTask& t : tasks) {
+            // Levelized tasks: every fanin slot is written before it is
+            // read, and a sample is serial, so no barriers are needed.
+            for (const StatTask& t : sys.tasks) {
               // One local draw per instance, shared by its edges and arcs.
               const double zc = w_g * zg_cell + w_l * z_cell[t.cell];
               double best = -1.0;
-              const McArc* arc = &arcs[t.first_arc];
+              const StatArc* arc = &sys.arcs[t.first_arc];
               for (std::uint32_t i = 0; i < t.num_arcs; ++i, ++arc) {
-                const double x = arc->cf.shape(zc);
-                double cell_d = arc->mu + arc->sigma * x;
-                if (cell_d < 0.0) cell_d = 0.0;
+                const double cell_d = cell_stage_delay(*arc, zc);
                 double wire_d = arc->elmore;
                 if (arc->wire_z >= 0) {
                   const double zw =
                       w_g * zg_wire +
                       w_l * z_wire[static_cast<std::size_t>(arc->wire_z)];
-                  wire_d = arc->elmore * (1.0 + arc->xw * zw);
-                  // Same guard as the wire model's quantile_at: the left
-                  // tail never undershoots 5% of Elmore.
-                  const double floor_w = 0.05 * arc->elmore;
-                  if (wire_d < floor_w) wire_d = floor_w;
+                  wire_d = wire_stage_delay(arc->elmore, arc->xw, zw);
                 }
                 const double cand = arr[arc->src_slot] + wire_d + cell_d;
                 if (cand > best) best = cand;
@@ -367,7 +261,7 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
             // endpoint vectors (checkpoint fidelity); quantile extraction
             // filters it out.
             for (std::size_t n = 0; n < n_nets; ++n) {
-              if (!nom.nets[n].reachable) continue;
+              if (!sys.reachable[n]) continue;
               const double rise = poison ? kQuietNan : arr[2 * n];
               const double fall = poison ? kQuietNan : arr[2 * n + 1];
               if (std::isfinite(rise)) {

@@ -7,15 +7,14 @@
 //
 // Each sample draws one die-to-die corner (a shared standard-normal per
 // domain: cell delays, wire delays) plus per-instance and per-net local
-// variation, then runs a full levelized mean-delay propagation over the
-// GateNetlist + ParasiticDb. Cell delays are sampled from the calibrated
-// N-sigma moment surfaces (mu/sigma with an optional Cornish-Fisher
-// gamma/kappa shaping); wire delays scale Elmore by the Eq. 7 variability
-// X_w. The same die-to-die variance split and the same frozen per-arc
-// inputs as AnalyticSsta make this the exact sampling counterpart of the
-// analytic propagator: the two should agree moment by moment within
-// sampling error, and the residual is the analytic max's approximation
-// error.
+// variation, then runs a full levelized arrival propagation over the
+// frozen system of sta/statarcs: per arc, cell_stage_delay (calibrated
+// mu/sigma with an optional Cornish-Fisher gamma/kappa shaping) plus
+// wire_stage_delay (Elmore scaled by the Eq. 7 variability X_w).
+// AnalyticSsta integrates the same StatArc records through the same two
+// functions under the same die-to-die split, so the two should agree
+// moment by moment within sampling error, and the residual is the
+// analytic max's approximation error.
 //
 // Sharding/determinism contract (same as PathMonteCarlo): samples shard
 // across the persistent ThreadPool with counter-based per-sample RNG
@@ -39,30 +38,21 @@
 #include "parasitics/spef.hpp"
 #include "sta/engine.hpp"
 #include "sta/netmc_checkpoint.hpp"
+#include "sta/statarcs.hpp"
 #include "stats/moments.hpp"
 #include "util/diag.hpp"
 
 namespace nsdc {
 
-/// Model/scheduling knobs of the netlist MC (execution policy — samples,
-/// seed, pool, lanes — comes from the shared McConfig instead).
-struct NetMcOptions {
-  /// Die-to-die share of every delay's variance (as in
-  /// AnalyticSstaOptions): z = sqrt(rho)*z_global + sqrt(1-rho)*z_local.
-  double die_to_die_share = 0.5;
-  /// Multiplies every sigma (cell and wire). 0 collapses the sampler onto
-  /// the nominal mean engine — the hook for the mean-sanity tests.
-  double variation_scale = 1.0;
-  /// Shape cell-delay draws with the calibrated gamma/kappa via a
-  /// Cornish-Fisher transform; false = Gaussian cell delays.
-  bool moment_shaping = true;
-  /// Engine policy for the nominal pre-pass (slews, loads, levelization).
-  StaConfig sta{};
+/// The statistical model knobs plus the netlist MC's checkpoint and shard
+/// controls (execution policy — samples, seed, pool, lanes — comes from
+/// the shared McConfig instead).
+struct NetMcOptions : StatModelOptions {
   /// When non-empty, stream completed accumulation blocks to this
   /// checkpoint file (see sta/netmc_checkpoint.hpp for the format). A run
   /// killed mid-flight — cancellation, deadline, crash — leaves every
   /// completed block on disk.
-  std::string checkpoint_path;
+  std::string checkpoint_path{};
   /// With checkpoint_path set: restore completed blocks from the file and
   /// compute only the remainder. A missing, mismatched, or damaged
   /// checkpoint degrades to a fresh run with a Result diagnostic, never an
@@ -87,7 +77,7 @@ struct NetMcOptions {
   /// Also fired for blocks restored by a resume. Called from worker
   /// threads: must be thread-safe and cheap. Shard workers hang their
   /// progress heartbeats and fault-injection hooks here.
-  std::function<void(std::size_t)> on_block_done;
+  std::function<void(std::size_t)> on_block_done{};
 };
 
 class NetlistMonteCarlo {

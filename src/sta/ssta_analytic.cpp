@@ -5,8 +5,6 @@
 #include <cmath>
 #include <utility>
 
-#include "netlist/flatgraph.hpp"
-#include "sta/flatsta.hpp"
 #include "stats/quantiles.hpp"
 #include "util/faultinject.hpp"
 
@@ -285,31 +283,15 @@ StageSplit split_stage(const Stage& s, double w_g, double w_l) {
 
 }  // namespace
 
-Stage cell_stage(const Moments& m, double sigma_scale, bool moment_shaping,
-                 double w_g, double w_l) {
-  const double sigma = m.sigma * sigma_scale;
-  if (sigma == 0.0) {
+Stage cell_stage(const StatArc& arc, double w_g, double w_l) {
+  if (arc.sigma == 0.0) {
     // Exact nominal path: matches the sampler's mu + 0*x with its clamp.
     Stage s;
-    s.mean = m.mu < 0.0 ? 0.0 : m.mu;
+    s.mean = arc.mu < 0.0 ? 0.0 : arc.mu;
     return s;
   }
-  // Unclamped coefficients, exactly as the MC hot loop builds them — the
-  // engine models the sampler, not the idealized distribution.
-  CornishFisher cf;
-  if (moment_shaping) {
-    cf.g6 = m.gamma / 6.0;
-    cf.k24 = m.kappa / 24.0;
-    cf.g36 = m.gamma * m.gamma / 36.0;
-  }
-  const double mu = m.mu;
   return stage_from_function(
-      [&](double z) {
-        double d = mu + sigma * cf.shape(z);
-        if (d < 0.0) d = 0.0;
-        return d;
-      },
-      w_g, w_l);
+      [&](double z) { return cell_stage_delay(arc, z); }, w_g, w_l);
 }
 
 Stage wire_stage(double elmore, double xw, double w_g, double w_l) {
@@ -318,14 +300,8 @@ Stage wire_stage(double elmore, double xw, double w_g, double w_l) {
     s.mean = elmore;
     return s;
   }
-  const double floor_w = 0.05 * elmore;
   return stage_from_function(
-      [&](double z) {
-        double d = elmore * (1.0 + xw * z);
-        if (d < floor_w) d = floor_w;
-        return d;
-      },
-      w_g, w_l);
+      [&](double z) { return wire_stage_delay(elmore, xw, z); }, w_g, w_l);
 }
 
 PolyCumulants hermite_poly_cumulants(const std::array<double, 3>& a) {
@@ -730,25 +706,6 @@ void Arrival::stat_max_into(Arrival& acc, const StagedArrival& bv) {
 
 namespace {
 
-/// One fanin timing arc of a (cell, output-edge) pair, flattened into its
-/// precomputed stage models — mirror of the MC sampler's McArc, with the
-/// quadratures done once instead of per sample.
-struct SstaArc {
-  std::size_t src_slot = 0;
-  ssta::Stage cell;
-  ssta::Stage wire;
-  bool has_wire = false;
-  std::size_t cell_local = 0;  ///< instance index (local cell draw)
-  std::size_t wire_local = 0;  ///< n_cells + fanin net (local wire draw)
-};
-
-/// One (cell, output-edge) propagation step in levelized order.
-struct SstaTask {
-  std::size_t out_slot = 0;
-  std::uint32_t first_arc = 0;
-  std::uint32_t num_arcs = 0;
-};
-
 std::array<double, 7> cf_sigma_quantiles(const Moments& m) {
   std::array<double, 7> q{};
   for (std::size_t i = 0; i < kSigmaLevels.size(); ++i) {
@@ -774,30 +731,12 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
   const std::size_t n_cells = netlist.num_cells();
   out.nets.assign(n_nets, {});
 
-  // Nominal pre-pass: slews, annotated loads/trees, reachability — frozen
-  // at nominal for every stage, the same block-based simplification the MC
-  // sampler uses, so the two engines model the identical system.
-  const StaEngine engine(cell_model_, tech_, options_.sta);
-  // Keep the engine's bound per-arc records (charlib handles + Elmore) and
-  // bind X_w, so the flatten loop below reads arrays instead of
-  // string-keyed model maps.
-  using Id = FlatTimingGraph::Id;
-  const FlatTimingGraph g =
-      FlatTimingGraph::compile(netlist, options_.sta.exec.cancel);
-  FlatArcRecords rec;
-  const StaEngine::Result nom = engine.run(g, netlist, parasitics, &rec);
-  flat_kernel::bind_wire_xw(g, wire_model_, rec);
-
-  const double scale = std::max(options_.variation_scale, 0.0);
+  const StatArcs sys = freeze_stat_arcs(netlist, parasitics, cell_model_,
+                                        wire_model_, tech_, options_);
   const double rho = std::clamp(options_.die_to_die_share, 0.0, 1.0);
   const double w_g = std::sqrt(rho);
   const double w_l = std::sqrt(1.0 - rho);
 
-  // Flatten the timing graph into levelized (cell, edge) tasks with
-  // per-arc precomputed stage models; arc order matches the sampler's, so
-  // the statistical fold visits candidates in the same sequence the
-  // sampler's strict-greater scan does.
-  //
   // Local-index assignment: undriven (primary-input) nets first, then one
   // index pair per reachable cell in LEVELIZED order — the cell's own draw,
   // then its output net (wire draw + fold-residual slots). Topological
@@ -805,6 +744,11 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
   // pair, so a local vector's length tracks the cone's topological span
   // instead of jumping to a netlist-wide offset the moment a fold residual
   // or wire draw is keyed.
+  //
+  // Per net, as barrier indices (barrier 0 precedes level 0, barrier b > 0
+  // follows level b - 1): the barrier after the level whose tasks write its
+  // arrivals (0 when none do), and the one after the last level that reads
+  // them (its own barrier when nothing does).
   std::vector<std::size_t> net_pos(n_nets, 0);
   std::size_t n_locals = 0;
   for (std::size_t nn = 0; nn < n_nets; ++nn) {
@@ -813,78 +757,29 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
     }
   }
   std::vector<std::size_t> cell_pos(n_cells, 0);
-  std::vector<SstaArc> arcs;
-  std::vector<SstaTask> tasks;
-  std::vector<std::size_t> level_task_end;
-  // Per net, as barrier indices (barrier 0 precedes level 0, barrier b > 0
-  // follows level b - 1): the barrier after the level whose tasks write its
-  // arrivals (0 when none do), and the one after the last level that reads
-  // them (its own barrier when nothing does).
   std::vector<std::size_t> written_at(n_nets, 0);
   std::vector<std::size_t> last_read_at(n_nets, 0);
-  arcs.reserve(4 * n_cells);
-  tasks.reserve(2 * n_cells);
-  level_task_end.reserve(g.num_levels());
-  for (Id l = 0; l < g.num_levels(); ++l) {
-    for (Id pos = g.level_begin(l); pos < g.level_end(l); ++pos) {
-      const auto outn = static_cast<std::size_t>(g.cell_out_net(pos));
-      if (!nom.nets[outn].reachable) continue;
-      cell_pos[static_cast<std::size_t>(g.cell_id(pos))] = n_locals++;
-      net_pos[outn] = n_locals++;
-      written_at[outn] = l + 1;
-      last_read_at[outn] = l + 1;
-      const double load = nom.net_load[outn];
-      const bool inverting = g.inverting(pos);
-      const Id a0 = g.fanin_begin(pos);
-      const Id a1 = g.fanin_end(pos);
-      for (int edge = 0; edge < 2; ++edge) {
-        const bool out_rising = edge == 0;
-        const bool in_rising = inverting ? !out_rising : out_rising;
-        const int in_edge = in_rising ? 0 : 1;
-        const auto& models = rec.arc_model[static_cast<std::size_t>(in_edge)];
-        SstaTask task;
-        task.out_slot = outn * 2 + static_cast<std::size_t>(edge);
-        task.first_arc = static_cast<std::uint32_t>(arcs.size());
-        for (Id arc = a0; arc < a1; ++arc) {
-          const Id fan_id = g.fanin_net(arc);
-          if (fan_id == FlatTimingGraph::kNoId) continue;  // unconnected pin
-          const auto fan = static_cast<std::size_t>(fan_id);
-          if (!nom.nets[fan].reachable) continue;
-          last_read_at[fan] = l + 1;
-          SstaArc a;
-          a.src_slot = fan * 2 + static_cast<std::size_t>(in_edge);
-          a.cell_local = cell_pos[static_cast<std::size_t>(g.cell_id(pos))];
-          const double slew_in =
-              nom.nets[fan].slew[static_cast<std::size_t>(in_edge)];
-          const CellArcModel* am = models[arc];
-          const Moments m =
-              am ? am->calib.moments_at(slew_in, load)
-                 : cell_model_.moments(g.cell_type(pos)->name(),
-                                       static_cast<int>(arc - a0), in_rising,
-                                       slew_in, load);
-          a.cell =
-              ssta::cell_stage(m, scale, options_.moment_shaping, w_g, w_l);
-          if (rec.has_tree[arc]) {
-            a.wire = ssta::wire_stage(rec.elmore[arc], rec.xw[arc] * scale,
-                                      w_g, w_l);
-            a.has_wire = true;
-            a.wire_local = net_pos[fan];
-          }
-          arcs.push_back(std::move(a));
-          ++task.num_arcs;
-        }
-        if (task.num_arcs > 0) tasks.push_back(task);
+  const std::size_t n_levels = sys.level_end.size();
+  for (std::size_t l = 0, ti = 0; l < n_levels; ++l) {
+    for (; ti < sys.level_end[l]; ++ti) {
+      const StatTask& t = sys.tasks[ti];
+      // Every reachable cell has a rise task followed by a fall task over
+      // the same pins; its rise task assigns the cell's indices.
+      if ((t.out_slot & 1) == 0) {
+        const std::size_t outn = t.out_slot / 2;
+        cell_pos[t.cell] = n_locals++;
+        net_pos[outn] = n_locals++;
+        written_at[outn] = l + 1;
+        last_read_at[outn] = l + 1;
+      }
+      for (std::uint32_t k = 0; k < t.num_arcs; ++k) {
+        last_read_at[sys.arcs[t.first_arc + k].src_slot / 2] = l + 1;
       }
     }
-    level_task_end.push_back(tasks.size());
   }
 
   // Endpoints: reachable primary outputs, ascending.
-  std::vector<int> po_nets = netlist.primary_outputs();
-  std::erase_if(po_nets, [&](int po) {
-    return !nom.nets[static_cast<std::size_t>(po)].reachable;
-  });
-  std::sort(po_nets.begin(), po_nets.end());
+  const std::vector<int>& po_nets = sys.po_nets;
   out.po_nets = po_nets;
   const std::size_t n_pos = po_nets.size();
   out.po_moments.resize(n_pos);
@@ -893,7 +788,7 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
   // A PO's worst edge folds at the barrier where its net is written, and a
   // net's arrivals are released at the barrier of its last reader, so the
   // live set spans the cut across one level instead of the whole graph.
-  const std::size_t n_barriers = level_task_end.size() + 1;
+  const std::size_t n_barriers = n_levels + 1;
   std::vector<std::vector<std::size_t>> po_at(n_barriers);
   std::vector<std::vector<std::size_t>> release_at(n_barriers);
   for (std::size_t p = 0; p < n_pos; ++p) {
@@ -952,23 +847,34 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
 
   barrier(0);
   std::size_t task_begin = 0;
-  for (std::size_t li = 0; li < level_task_end.size(); ++li) {
+  for (std::size_t li = 0; li < n_levels; ++li) {
     fault_fire("ssta.level", li, token);
     exec.check_cancel();
-    const std::size_t task_end = level_task_end[li];
+    const std::size_t task_end = sys.level_end[li];
     exec.parallel_for(task_end - task_begin, [&](std::size_t i) {
-      const SstaTask& t = tasks[task_begin + i];
+      const StatTask& t = sys.tasks[task_begin + i];
+      const StatArc* arcs = &sys.arcs[t.first_arc];
+      const std::size_t cell_local = cell_pos[t.cell];
       const std::size_t rekey = net_pos[t.out_slot / 2];
       // Final local span of this task's output: the re-key slot sits past
       // every index the arcs can touch, so reserving it once up front means
       // no fold ever reallocates the accumulator.
       std::size_t cap = rekey + 1;
       for (std::uint32_t k = 0; k < t.num_arcs; ++k) {
-        cap = std::max(cap, arr[arcs[t.first_arc + k].src_slot].local.size());
+        cap = std::max(cap, arr[arcs[k].src_slot].local.size());
       }
       ssta::Arrival best;
       for (std::uint32_t k = 0; k < t.num_arcs; ++k) {
-        const SstaArc& a = arcs[t.first_arc + k];
+        const StatArc& a = arcs[k];
+        // Each arc belongs to exactly one task, so its stage models are
+        // integrated once, here.
+        const ssta::Stage cell = ssta::cell_stage(a, w_g, w_l);
+        const bool has_wire = a.wire_z >= 0;
+        const std::size_t wire_local =
+            has_wire ? net_pos[static_cast<std::size_t>(a.wire_z)] : 0;
+        const ssta::Stage wire =
+            has_wire ? ssta::wire_stage(a.elmore, a.xw, w_g, w_l)
+                     : ssta::Stage{};
         if (k == 0) {
           // The accumulator owns its storage: one copy per task, landing
           // directly in the pre-reserved buffer. Span only the indices
@@ -977,23 +883,19 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
           // of the whole netlist.
           best.local.reserve(cap);
           best = arr[a.src_slot];
-          std::size_t need = a.cell_local + 1;
-          if (a.has_wire) need = std::max(need, a.wire_local + 1);
-          best.ensure_locals(need);
-          if (a.has_wire) {
-            best.add_stage(a.wire, ssta::Domain::kWire, w_g, w_l,
-                           a.wire_local);
+          best.ensure_locals(std::max(cell_local, wire_local) + 1);
+          if (has_wire) {
+            best.add_stage(wire, ssta::Domain::kWire, w_g, w_l, wire_local);
           }
-          best.add_stage(a.cell, ssta::Domain::kCell, w_g, w_l, a.cell_local);
+          best.add_stage(cell, ssta::Domain::kCell, w_g, w_l, cell_local);
         } else {
           // Later arcs fold as unmaterialized views — the fanin arrival's
           // local vector is read in place, never copied.
           ssta::StagedArrival cand(arr[a.src_slot]);
-          if (a.has_wire) {
-            cand.add_stage(a.wire, ssta::Domain::kWire, w_g, w_l,
-                           a.wire_local);
+          if (has_wire) {
+            cand.add_stage(wire, ssta::Domain::kWire, w_g, w_l, wire_local);
           }
-          cand.add_stage(a.cell, ssta::Domain::kCell, w_g, w_l, a.cell_local);
+          cand.add_stage(cell, ssta::Domain::kCell, w_g, w_l, cell_local);
           ssta::Arrival::stat_max_into(best, cand);
         }
       }
@@ -1008,17 +910,17 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
       arr[t.out_slot] = std::move(best);
     });
     for (std::size_t i = task_begin; i < task_end; ++i) {
-      live += arr[tasks[i].out_slot].local.size();
+      live += arr[sys.tasks[i].out_slot].local.size();
     }
     barrier(li + 1);
     task_begin = task_end;
   }
-  out.levels = level_task_end.size();
+  out.levels = n_levels;
 
   // Undriven (primary-input) nets keep the zero default arrival.
   const Moments pi_moments = ssta::Arrival{}.moments();
   for (std::size_t n = 0; n < n_nets; ++n) {
-    if (!nom.nets[n].reachable) continue;
+    if (!sys.reachable[n]) continue;
     for (auto& es : out.nets[n]) {
       if (!es.reachable) es = {pi_moments, true};
     }

@@ -1,6 +1,7 @@
 #pragma once
 // Analytic four-moment block-based SSTA — the deterministic counterpart of
-// NetlistMonteCarlo. One levelized traversal propagates per-net arrival
+// NetlistMonteCarlo. One levelized traversal over the frozen StatArc
+// records both engines read (sta/statarcs) propagates per-net arrival
 // moments [mu, sigma, gamma, kappa] instead of sampling them: series
 // cell+wire stages combine by moment-space convolution under the same
 // die-to-die correlation split as the sampler, and reconvergent fanins
@@ -59,6 +60,7 @@
 #include "netlist/netlist.hpp"
 #include "parasitics/spef.hpp"
 #include "sta/engine.hpp"
+#include "sta/statarcs.hpp"
 #include "stats/moments.hpp"
 
 namespace nsdc {
@@ -85,18 +87,15 @@ struct Stage {
   std::array<double, 3> cvar{};
 };
 
-/// Stage model of a cell arc: d(z) = max(0, mu + sigma_scaled * CF(z)),
-/// the exact function the MC sampler draws through (Cornish-Fisher shaping
-/// when moment_shaping, Gaussian otherwise), integrated by Gauss-Hermite
-/// quadrature. sigma == 0 short-circuits to the exact nominal delay.
-/// (w_g, w_l) are the global/local mixing weights of z = w_g G + w_l z_i,
-/// used only for the conditional-variance modulation; the default (0, 1)
-/// leaves it off.
-Stage cell_stage(const Moments& m, double sigma_scale, bool moment_shaping,
-                 double w_g = 0.0, double w_l = 1.0);
+/// Stage model of a cell arc: cell_stage_delay(arc, z), the function the
+/// MC sampler draws through, integrated by Gauss-Hermite quadrature.
+/// sigma == 0 short-circuits to the exact nominal delay. (w_g, w_l) are
+/// the global/local mixing weights of z = w_g G + w_l z_i, used only for
+/// the conditional-variance modulation; the default (0, 1) leaves it off.
+Stage cell_stage(const StatArc& arc, double w_g = 0.0, double w_l = 1.0);
 
-/// Stage model of a wire segment: d(z) = max(0.05*elmore, elmore*(1+xw*z)),
-/// again the sampler's exact function. xw == 0 short-circuits to Elmore.
+/// Stage model of a wire segment: wire_stage_delay(elmore, xw, z), again
+/// the sampler's function. xw == 0 short-circuits to Elmore.
 Stage wire_stage(double elmore, double xw, double w_g = 0.0,
                  double w_l = 1.0);
 
@@ -221,22 +220,8 @@ struct Arrival {
 
 }  // namespace ssta
 
-/// Model knobs of the analytic engine — deliberately the same fields (and
-/// defaults) as NetMcOptions, so a run can be compared 1:1 against the
-/// sampler it models.
-struct AnalyticSstaOptions {
-  /// Die-to-die share of every delay's variance:
-  /// z = sqrt(rho)*z_global + sqrt(1-rho)*z_local.
-  double die_to_die_share = 0.5;
-  /// Multiplies every sigma (cell and wire). 0 collapses the engine onto
-  /// the nominal mean engine exactly.
-  double variation_scale = 1.0;
-  /// Propagate the calibrated gamma/kappa through Cornish-Fisher-shaped
-  /// stage delays; false = Gaussian cell delays.
-  bool moment_shaping = true;
-  /// Engine policy for the nominal pre-pass and the levelized traversal.
-  StaConfig sta{};
-};
+/// Model knobs of the analytic engine: the statistical engines' one set.
+using AnalyticSstaOptions = StatModelOptions;
 
 /// Analytic block-based SSTA engine over GateNetlist + ParasiticDb.
 class AnalyticSsta {

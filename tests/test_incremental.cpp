@@ -10,7 +10,6 @@
 
 #include "netlist/designgen.hpp"
 #include "sta/annotate.hpp"
-#include "sta/sizer.hpp"
 #include "synthetic_charlib.hpp"
 #include "util/rng.hpp"
 
@@ -359,34 +358,6 @@ TEST_F(IncrementalStaTest, UpdateBeforeBindThrows) {
   IncrementalSta inc(model, tech);
   EXPECT_THROW(inc.update(), std::logic_error);
   EXPECT_THROW(inc.invalidate_parasitics(0), std::logic_error);
-}
-
-TEST_F(IncrementalStaTest, TimingSizerImprovesArrivalIncrementally) {
-  RandomNetlistSpec spec;
-  spec.name = "sizeme";
-  spec.target_cells = 300;
-  spec.num_primary_inputs = 16;
-  spec.target_depth = 14;
-  spec.seed = 9;
-  GateNetlist nl = generate_random_mapped(spec, lib);
-  const ParasiticDb parasitics = generate_parasitics(nl, tech);
-
-  TimingSizerConfig cfg;
-  cfg.max_upsizes = 16;
-  const TimingSizerReport report =
-      size_for_timing(nl, lib, model, tech, parasitics, cfg);
-  EXPECT_GT(report.upsizes, 0);
-  EXPECT_LE(report.final_arrival, report.initial_arrival);
-  EXPECT_TRUE(nl.invariants_ok());
-  // The incremental loop must have done less propagation work than the
-  // equivalent full-STA-per-trial loop.
-  EXPECT_LT(report.cells_recomputed, report.full_sta_equivalent);
-
-  // Sized netlist still times identically to a fresh engine run.
-  IncrementalSta inc(model, tech);
-  const StaEngine engine(model, tech);
-  expect_results_identical(inc.bind(nl, parasitics),
-                           engine.run(nl, parasitics), "after sizing");
 }
 
 }  // namespace

@@ -398,13 +398,45 @@ TEST(SstaAnalyticDeterminism, ByteIdenticalAcrossThreadCounts) {
 
 // ------------------------------------------------- moment-algebra props --
 
+/// PIs a, b, c; c is directly a PO. The deep cone is built first, so its
+/// POs get the lowest net ids but finish at the latest levels, and the
+/// shallow POs created after it finish first and wait for them in the
+/// circuit fold. d2 is a PO that also feeds d3; r reconverges d1 and s1.
+GateNetlist crafted_endpoint_netlist(const CellLibrary& cells) {
+  const CellType& inv = cells.by_name("INVx1");
+  const CellType& nand = cells.by_name("NAND2x1");
+  const CellType& nor = cells.by_name("NOR2x1");
+  GateNetlist nl("endpoints");
+  const int a = nl.add_primary_input("a");
+  const int b = nl.add_primary_input("b");
+  const int c = nl.add_primary_input("c");
+  nl.mark_primary_output(c);
+  auto gate = [&](const CellType& type, std::vector<int> fanin,
+                  const std::string& out) {
+    return nl.cell(nl.add_cell("u_" + out, type, fanin, out)).out_net;
+  };
+  std::vector<int> d;
+  for (int i = 0; i < 6; ++i) {
+    const int in = i == 0 ? a : d.back();
+    const std::string out = "d" + std::to_string(i);
+    d.push_back(i % 2 == 0 ? gate(inv, {in}, out) : gate(nand, {in, b}, out));
+  }
+  nl.mark_primary_output(d[2]);
+  nl.mark_primary_output(d[5]);
+  const int s1 = gate(nor, {d[0], c}, "s1");
+  const int s0 = gate(nand, {b, c}, "s0");
+  const int r = gate(nand, {d[1], s1}, "r");
+  for (const int po : {s1, s0, r}) nl.mark_primary_output(po);
+  return nl;
+}
+
 TEST(SstaMomentAlgebra, SeriesSumMatchesClosedFormCumulantAddition) {
   // With zero die-to-die share the stages are fully independent, so the
   // propagated cumulants must equal the closed-form cumulant sums exactly.
   Moments m1{40e-12, 10e-12, 0.9, 1.4};
   Moments m2{55e-12, 12e-12, -0.4, 0.8};
-  const ssta::Stage s1 = ssta::cell_stage(m1, 1.0, true);
-  const ssta::Stage s2 = ssta::cell_stage(m2, 1.0, true);
+  const ssta::Stage s1 = ssta::cell_stage(StatArc::cell(m1, 1.0, true));
+  const ssta::Stage s2 = ssta::cell_stage(StatArc::cell(m2, 1.0, true));
 
   ssta::Arrival a;
   a.ensure_locals(2);
@@ -425,13 +457,13 @@ TEST(SstaMomentAlgebra, StageMomentsMatchTargetWhenClampInactive) {
   // Far from the max(0, .) clamp, the Cornish-Fisher-shaped stage must
   // reproduce its target moments closely (the transform is third-order).
   Moments m{100e-12, 10e-12, 0.6, 0.9};
-  const ssta::Stage s = ssta::cell_stage(m, 1.0, true);
+  const ssta::Stage s = ssta::cell_stage(StatArc::cell(m, 1.0, true));
   EXPECT_NEAR(s.mean, m.mu, 1e-3 * m.mu);
   EXPECT_NEAR(std::sqrt(s.k2), m.sigma, 0.05 * m.sigma);
   EXPECT_GT(s.k3, 0.0);  // positively skewed target
   // Gaussian stage: exact identity moments.
-  const ssta::Stage g = ssta::cell_stage(Moments{100e-12, 10e-12, 0.0, 0.0},
-                                         1.0, true);
+  const ssta::Stage g = ssta::cell_stage(
+      StatArc::cell(Moments{100e-12, 10e-12, 0.0, 0.0}, 1.0, true));
   EXPECT_NEAR(g.mean, 100e-12, 1e-15);
   EXPECT_NEAR(std::sqrt(g.k2), 10e-12, 1e-15);
   EXPECT_NEAR(g.herm[0], 10e-12, 1e-15);
@@ -488,43 +520,51 @@ TEST(SstaMomentAlgebra, ZeroVarianceStatMaxIsExactMaxFirstWinsTies) {
 
 TEST(SstaMomentAlgebra, ZeroVarianceEngineReducesToMeanEngine) {
   const Fixture f;
-  const GateNetlist nl = load_bench(repo_path("data/c17.bench"), f.cells);
-  const ParasiticDb spef = generate_parasitics(nl, f.tech);
+  // c17, and the crafted endpoint netlist: a PI that is a PO, a PO that
+  // feeds a cell, and PO ids in reverse level order.
+  auto check = [&](const GateNetlist& nl, const std::string& what) {
+    const ParasiticDb spef = generate_parasitics(nl, f.tech);
 
-  AnalyticSstaOptions aopt;
-  aopt.variation_scale = 0.0;
-  const auto an = f.run_analytic(nl, spef, aopt);
+    AnalyticSstaOptions aopt;
+    aopt.variation_scale = 0.0;
+    const auto an = f.run_analytic(nl, spef, aopt);
 
-  // Bit-exact against a single zero-variation MC sample (the sampler and
-  // the analytic engine collapse onto the same nominal recurrence)...
-  NetMcOptions mopt;
-  mopt.variation_scale = 0.0;
-  const auto mc = f.run_mc(nl, spef, 1, 1, mopt);
-  for (std::size_t n = 0; n < mc.nets.size(); ++n) {
-    for (std::size_t e = 0; e < 2; ++e) {
-      if (mc.nets[n][e].count == 0) continue;
-      ASSERT_EQ(an.nets[n][e].moments.mu, mc.nets[n][e].moments.mu)
-          << "net " << n << " edge " << e;
-      ASSERT_EQ(an.nets[n][e].moments.sigma, 0.0) << "net " << n;
+    // Bit-exact against a single zero-variation MC sample (the sampler and
+    // the analytic engine collapse onto the same nominal recurrence)...
+    NetMcOptions mopt;
+    mopt.variation_scale = 0.0;
+    const auto mc = f.run_mc(nl, spef, 1, 1, mopt);
+    ASSERT_EQ(an.po_nets, mc.po_nets) << what;
+    for (std::size_t n = 0; n < mc.nets.size(); ++n) {
+      for (std::size_t e = 0; e < 2; ++e) {
+        ASSERT_EQ(an.nets[n][e].reachable, mc.nets[n][e].count > 0)
+            << what << " net " << n << " edge " << e;
+        if (mc.nets[n][e].count == 0) continue;
+        ASSERT_EQ(an.nets[n][e].moments.mu, mc.nets[n][e].moments.mu)
+            << what << " net " << n << " edge " << e;
+        ASSERT_EQ(an.nets[n][e].moments.sigma, 0.0) << what << " net " << n;
+      }
     }
-  }
-  // ... and within the calibration-interpolation gap of the mean engine.
-  const StaEngine engine(f.model, f.tech);
-  const auto nom = engine.run(nl, spef);
-  for (std::size_t n = 0; n < nom.nets.size(); ++n) {
-    if (!nom.nets[n].reachable) continue;
-    for (std::size_t e = 0; e < 2; ++e) {
-      EXPECT_NEAR(an.nets[n][e].moments.mu, nom.nets[n].arrival[e],
-                  1e-3 * nom.nets[n].arrival[e] + 1e-15)
-          << "net " << n << " edge " << e;
+    // ... and within the calibration-interpolation gap of the mean engine.
+    const StaEngine engine(f.model, f.tech);
+    const auto nom = engine.run(nl, spef);
+    for (std::size_t n = 0; n < nom.nets.size(); ++n) {
+      if (!nom.nets[n].reachable) continue;
+      for (std::size_t e = 0; e < 2; ++e) {
+        EXPECT_NEAR(an.nets[n][e].moments.mu, nom.nets[n].arrival[e],
+                    1e-3 * nom.nets[n].arrival[e] + 1e-15)
+            << what << " net " << n << " edge " << e;
+      }
     }
-  }
-  // Quantiles of a deterministic arrival are the arrival at every level.
-  for (std::size_t p = 0; p < an.po_nets.size(); ++p) {
-    for (std::size_t l = 0; l < 7; ++l) {
-      EXPECT_EQ(an.po_quantiles[p][l], an.po_moments[p].mu);
+    // Quantiles of a deterministic arrival are the arrival at every level.
+    for (std::size_t p = 0; p < an.po_nets.size(); ++p) {
+      for (std::size_t l = 0; l < 7; ++l) {
+        EXPECT_EQ(an.po_quantiles[p][l], an.po_moments[p].mu) << what;
+      }
     }
-  }
+  };
+  check(load_bench(repo_path("data/c17.bench"), f.cells), "c17");
+  check(crafted_endpoint_netlist(f.cells), "endpoints");
 }
 
 // ------------------------------------------- Clark's exact Gaussian max --
@@ -801,38 +841,6 @@ TEST(SstaAnalyticGolden, C17MomentsAndQuantilesMatchGoldenCsv) {
 
 
 // ---------------------------------------- endpoints, bit for bit (hex) --
-
-/// PIs a, b, c; c is directly a PO. The deep cone is built first, so its
-/// POs get the lowest net ids but finish at the latest levels, and the
-/// shallow POs created after it finish first and wait for them in the
-/// circuit fold. d2 is a PO that also feeds d3; r reconverges d1 and s1.
-GateNetlist crafted_endpoint_netlist(const CellLibrary& cells) {
-  const CellType& inv = cells.by_name("INVx1");
-  const CellType& nand = cells.by_name("NAND2x1");
-  const CellType& nor = cells.by_name("NOR2x1");
-  GateNetlist nl("endpoints");
-  const int a = nl.add_primary_input("a");
-  const int b = nl.add_primary_input("b");
-  const int c = nl.add_primary_input("c");
-  nl.mark_primary_output(c);
-  auto gate = [&](const CellType& type, std::vector<int> fanin,
-                  const std::string& out) {
-    return nl.cell(nl.add_cell("u_" + out, type, fanin, out)).out_net;
-  };
-  std::vector<int> d;
-  for (int i = 0; i < 6; ++i) {
-    const int in = i == 0 ? a : d.back();
-    const std::string out = "d" + std::to_string(i);
-    d.push_back(i % 2 == 0 ? gate(inv, {in}, out) : gate(nand, {in, b}, out));
-  }
-  nl.mark_primary_output(d[2]);
-  nl.mark_primary_output(d[5]);
-  const int s1 = gate(nor, {d[0], c}, "s1");
-  const int s0 = gate(nand, {b, c}, "s0");
-  const int r = gate(nand, {d[1], s1}, "r");
-  for (const int po : {s1, s0, r}) nl.mark_primary_output(po);
-  return nl;
-}
 
 /// Every field of an analytic result that the endpoint folds produce, one
 /// line each, doubles as exact hex floats.
