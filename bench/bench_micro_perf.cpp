@@ -245,6 +245,41 @@ int run_sta_scaling(const std::string& json_path) {
 
 // ------------------------------------------- parallel netlist-MC scaling
 
+/// Byte equality of every statistic in two netlist-MC results: per
+/// net-edge moments and counts, quarantine counters, the retained endpoint
+/// samples and the endpoint statistics. Run bookkeeping (shards, runtime,
+/// diagnostics, blocks_resumed) may differ.
+bool same_netmc_result(const NetlistMonteCarlo::Result& a,
+                       const NetlistMonteCarlo::Result& b) {
+  const auto same = [](const auto& x, const auto& y) {
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  };
+  const auto same_vec = [](const auto& x, const auto& y) {
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(x[0])) == 0);
+  };
+  if (!same_vec(a.nets, b.nets) || !same_vec(a.quarantined, b.quarantined) ||
+      !same_vec(a.po_nets, b.po_nets) ||
+      a.po_samples.size() != b.po_samples.size() ||
+      !same_vec(a.po_moments, b.po_moments) ||
+      !same_vec(a.po_quantiles, b.po_quantiles) ||
+      !same_vec(a.circuit_samples, b.circuit_samples) ||
+      !same(a.circuit_moments, b.circuit_moments) ||
+      !same(a.circuit_quantiles, b.circuit_quantiles) ||
+      a.worst_po != b.worst_po ||
+      !same(a.worst_po_moments, b.worst_po_moments) ||
+      !same(a.worst_po_quantiles, b.worst_po_quantiles) ||
+      a.total_quarantined != b.total_quarantined ||
+      a.samples_done != b.samples_done) {
+    return false;
+  }
+  for (std::size_t p = 0; p < a.po_samples.size(); ++p) {
+    if (!same_vec(a.po_samples[p], b.po_samples[p])) return false;
+  }
+  return true;
+}
+
 /// Serial-vs-parallel wall-clock for the sharded netlist Monte Carlo on a
 /// generated ≥1k-cell design at 1/2/4/8 worker lanes, plus a grain sweep.
 /// Every parallel and every grain configuration must reproduce the serial
@@ -288,28 +323,6 @@ int run_netmc_scaling(const std::string& json_path) {
     return best;
   };
 
-  auto identical = [](const NetlistMonteCarlo::Result& got,
-                      const NetlistMonteCarlo::Result& ref) {
-    if (got.circuit_samples.size() != ref.circuit_samples.size() ||
-        got.nets.size() != ref.nets.size() || got.worst_po != ref.worst_po) {
-      return false;
-    }
-    if (!got.circuit_samples.empty() &&
-        std::memcmp(got.circuit_samples.data(), ref.circuit_samples.data(),
-                    got.circuit_samples.size() * sizeof(double)) != 0) {
-      return false;
-    }
-    for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-      for (std::size_t e = 0; e < 2; ++e) {
-        if (std::memcmp(&got.nets[n][e].moments, &ref.nets[n][e].moments,
-                        sizeof(Moments)) != 0) {
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-
   NetlistMonteCarlo::Result ref;
   const double serial_s = timed(1, 0, &ref);
 
@@ -326,7 +339,7 @@ int run_netmc_scaling(const std::string& json_path) {
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     NetlistMonteCarlo::Result got;
     const double secs = timed(threads, 0, &got);
-    const bool same = identical(got, ref);
+    const bool same = same_netmc_result(got, ref);
     all_identical = all_identical && same;
     json << (first ? "" : ",") << "\n    {\"threads\": " << threads
          << ", \"seconds\": " << secs
@@ -337,19 +350,23 @@ int run_netmc_scaling(const std::string& json_path) {
               << " ms  speedup=" << serial_s / secs
               << (same ? "" : "  MISMATCH") << "\n";
   }
+  // Chunks never go below ceil(blocks / lanes) blocks, so at 4 lanes a
+  // grain of 8, 16 and 32 blocks gives 4, 2 and 1 chunks.
   json << "\n  ],\n  \"grain_sweep\": [";
   first = true;
-  for (const std::size_t grain : {1u, 2u, 4u, 8u}) {
+  const std::size_t blocks = NetlistMonteCarlo::kAccumBlocks;
+  for (const std::size_t grain : {blocks / 4, blocks / 2, blocks}) {
     NetlistMonteCarlo::Result got;
     const double secs = timed(4, grain, &got);
-    const bool same = identical(got, ref);
+    const bool same = same_netmc_result(got, ref);
     all_identical = all_identical && same;
     json << (first ? "" : ",") << "\n    {\"grain\": " << grain
-         << ", \"threads\": 4, \"seconds\": " << secs
+         << ", \"threads\": 4, \"chunks\": " << got.shards
+         << ", \"seconds\": " << secs
          << ", \"bit_identical\": " << (same ? "true" : "false") << "}";
     first = false;
-    std::cerr << "[netmc-scaling] grain=" << grain << " threads=4  "
-              << secs * 1e3 << " ms"
+    std::cerr << "[netmc-scaling] grain=" << grain << " threads=4 chunks="
+              << got.shards << "  " << secs * 1e3 << " ms"
               << (same ? "" : "  MISMATCH") << "\n";
   }
   json << "\n  ]\n}\n";
@@ -480,18 +497,13 @@ int run_ssta_sweep(const std::string& json_path) {
   return 0;
 }
 
-// --------------------------------------------- incremental STA cost -----
+// --------------------------------------------- netlist-MC checkpoints ---
 
-/// Per-edit cost of the incremental engine versus a full re-run, across
-/// cone sizes. Retypes one cell per sampled level of a ≥5k-cell design:
-/// a cell near the primary inputs has a large fanout cone (expensive
-/// update), one near the outputs a small cone (cheap update). Each timed
-/// update is checked bit-identical to a fresh full run; the JSON record
-/// lands in incremental_sta_perf.json.
 /// Checkpoint overhead of the netlist MC: baseline vs checkpointed run
 /// (the per-block serialization + flush cost), checkpoint file size, load
 /// time, and the time a resumed run takes when every block is already on
-/// disk. Written to netmc_checkpoint_perf.json.
+/// disk. The resumed result must equal the baseline byte for byte.
+/// Written to netmc_checkpoint_perf.json.
 int run_checkpoint_perf(const std::string& json_path) {
   using clock = std::chrono::steady_clock;
   const TechParams tech = TechParams::nominal28();
@@ -566,11 +578,7 @@ int run_checkpoint_perf(const std::string& json_path) {
   ck_opt.resume = true;
   NetlistMonteCarlo::Result resumed;
   const double resume_s = timed(ck_opt, &resumed);
-  const bool identical =
-      resumed.circuit_samples.size() == base_res.circuit_samples.size() &&
-      std::memcmp(resumed.circuit_samples.data(),
-                  base_res.circuit_samples.data(),
-                  base_res.circuit_samples.size() * sizeof(double)) == 0;
+  const bool identical = same_netmc_result(resumed, base_res);
   std::remove(ck_path.c_str());
   if (!identical) {
     std::cerr << "[checkpoint-perf] FAIL: resumed run is not byte-identical"
@@ -601,6 +609,14 @@ int run_checkpoint_perf(const std::string& json_path) {
   return 0;
 }
 
+// --------------------------------------------- incremental STA cost -----
+
+/// Per-edit cost of the incremental engine versus a full re-run, across
+/// cone sizes. Retypes one cell per sampled level of a ≥5k-cell design:
+/// a cell near the primary inputs has a large fanout cone (expensive
+/// update), one near the outputs a small cone (cheap update). Each timed
+/// update is checked bit-identical to a fresh full run; the JSON record
+/// lands in incremental_sta_perf.json.
 int run_incremental_scaling(const std::string& json_path) {
   using clock = std::chrono::steady_clock;
   const TechParams tech = TechParams::nominal28();

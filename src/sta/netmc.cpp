@@ -1,6 +1,7 @@
 #include "sta/netmc.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -8,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "stats/quantiles.hpp"
 #include "util/faultinject.hpp"
@@ -16,6 +18,12 @@
 namespace nsdc {
 
 namespace {
+
+/// Within a block, samples run through each task in batches of this many
+/// (the block's last batch may be partial). Every lane does exactly a lone
+/// sample's arithmetic, and each net-edge takes its samples in sample
+/// order, so the batch size never changes a result bit.
+constexpr std::size_t kSampleBatch = 8;
 
 /// Fingerprint over the sampler options that change drawn values; bound
 /// into the checkpoint header so a file never resumes a different model
@@ -63,25 +71,32 @@ std::array<double, 7> finite_quantiles(const std::vector<double>& v) {
 }
 
 /// Endpoint distributions from the retained sample vectors (shared by a
-/// finished run and a checkpoint-restored partial result).
-void finalize_endpoints(NetlistMonteCarlo::Result* out) {
+/// finished run and a checkpoint-restored partial result). Index p < n_pos
+/// is PO p and index n_pos the circuit; each reads only its own sample
+/// vector, so they run in parallel. The worst-PO scan stays serial, in
+/// ascending PO order.
+void finalize_endpoints(NetlistMonteCarlo::Result* out,
+                        const ExecContext& exec) {
   const std::size_t n_pos = out->po_nets.size();
   out->po_moments.resize(n_pos);
   out->po_quantiles.resize(n_pos);
+  exec.parallel_for(n_pos + 1, [out, n_pos](std::size_t p) {
+    if (p < n_pos) {
+      out->po_moments[p] = compute_moments(out->po_samples[p]);
+      out->po_quantiles[p] = finite_quantiles(out->po_samples[p]);
+    } else if (!out->circuit_samples.empty()) {
+      out->circuit_moments = compute_moments(out->circuit_samples);
+      out->circuit_quantiles = finite_quantiles(out->circuit_samples);
+    }
+  });
   double worst_mean = -1.0;
   for (std::size_t p = 0; p < n_pos; ++p) {
-    out->po_moments[p] = compute_moments(out->po_samples[p]);
-    out->po_quantiles[p] = finite_quantiles(out->po_samples[p]);
     if (out->po_moments[p].mu > worst_mean) {
       worst_mean = out->po_moments[p].mu;
       out->worst_po = out->po_nets[p];
       out->worst_po_moments = out->po_moments[p];
       out->worst_po_quantiles = out->po_quantiles[p];
     }
-  }
-  if (!out->circuit_samples.empty()) {
-    out->circuit_moments = compute_moments(out->circuit_samples);
-    out->circuit_quantiles = finite_quantiles(out->circuit_samples);
   }
 }
 
@@ -193,19 +208,25 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
   const ExecContext exec = config.resolved_exec();
   CancellationToken* token = exec.cancel;
   constexpr double kQuietNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::size_t B = kSampleBatch;
 
-  // Finest grain (one block per chunk) unless ExecContext::grain or
-  // NSDC_GRAIN overrides it: per-block work is coarse enough that load
-  // balance beats scheduling overhead (netmc_parallel_perf.json).
+  // parallel_for_chunked never makes a chunk smaller than ceil(blocks /
+  // lanes) blocks, so the blocks go to at most one chunk per lane;
+  // ExecContext::grain or NSDC_GRAIN can only make chunks larger (fewer).
+  // Every block does the same work, and a chunk allocates its scratch
+  // once.
   out.shards = exec.parallel_for_chunked(
       b_hi - b_lo, /*call_grain=*/1,
       [&](std::size_t i_begin, std::size_t i_end) {
-        // Chunk-local scratch, reused across the chunk's blocks/samples.
+        // Chunk-local scratch, slot-major over the batch lanes: slot i of
+        // lane k lives at [i * B + k], reused across the chunk's batches.
         // PI slots stay 0 (their arrival) for the whole chunk; every other
-        // slot that is ever read is written by an earlier task first.
-        std::vector<double> arr(2 * n_nets, 0.0);
-        std::vector<double> z_cell(n_cells, 0.0);
-        std::vector<double> z_wire(n_nets, 0.0);
+        // slot that is ever read is written by an earlier task first. A
+        // partial batch leaves its unused lanes stale; they are walked
+        // but never drawn, accumulated or written out.
+        std::vector<double> arr(2 * n_nets * B, 0.0);
+        std::vector<double> z_cell(n_cells * B, 0.0);
+        std::vector<double> z_wire(n_nets * B, 0.0);
         for (std::size_t b = b_lo + i_begin; b < b_lo + i_end; ++b) {
           if (block_done[b]) continue;
           fault_fire("netmc.block", b, token);
@@ -215,81 +236,138 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
           // per_block * n_blocks overshoots the sample count.
           const std::size_t s_begin = std::min(n_samples, b * per_block);
           const std::size_t s_end = std::min(n_samples, s_begin + per_block);
-          for (std::size_t s = s_begin; s < s_end; ++s) {
-            // Cooperative preemption point: explicit cancel, deadline, and
-            // the per-sample budget all surface here as CancelledError.
-            // Completed blocks are already on disk, so nothing is lost.
-            if (token != nullptr) {
-              token->charge(1);
-              token->throw_if_cancelled();
+          // Batches of B samples never cross the block boundary; the
+          // block's last batch may be partial.
+          for (std::size_t s0 = s_begin; s0 < s_end; s0 += B) {
+            const std::size_t nb = std::min(B, s_end - s0);
+            std::array<double, B> zg_cell{};
+            std::array<double, B> zg_wire{};
+            std::array<bool, B> poison{};
+            for (std::size_t k = 0; k < nb; ++k) {
+              const std::size_t s = s0 + k;
+              // Cooperative preemption point: explicit cancel, deadline,
+              // and the per-sample budget all surface here as
+              // CancelledError. Completed blocks are already on disk.
+              if (token != nullptr) {
+                token->charge(1);
+                token->throw_if_cancelled();
+              }
+              poison[k] =
+                  fault_fire("netmc.sample", s, token) == FaultAction::kNan;
+              // Counter-based fork: the sample's stream depends only on
+              // (seed, sample index), never on the executing thread.
+              char tag[24] = {'s'};
+              const char* tag_end =
+                  std::to_chars(tag + 1, tag + sizeof(tag), s).ptr;
+              Rng rng = base.fork(std::string_view(
+                  tag, static_cast<std::size_t>(tag_end - tag)));
+              zg_cell[k] = rng.normal();
+              zg_wire[k] = rng.normal();
+              for (std::size_t c = 0; c < n_cells; ++c) {
+                z_cell[c * B + k] = rng.normal();
+              }
+              for (std::size_t n = 0; n < n_nets; ++n) {
+                z_wire[n * B + k] = rng.normal();
+              }
             }
-            const bool poison =
-                fault_fire("netmc.sample", s, token) == FaultAction::kNan;
-            // Counter-based fork: the sample's stream depends only on
-            // (seed, sample index), never on the executing thread.
-            Rng rng = base.fork("s" + std::to_string(s));
-            const double zg_cell = rng.normal();
-            const double zg_wire = rng.normal();
-            for (std::size_t c = 0; c < n_cells; ++c) z_cell[c] = rng.normal();
-            for (std::size_t n = 0; n < n_nets; ++n) z_wire[n] = rng.normal();
 
             // Levelized tasks: every fanin slot is written before it is
-            // read, and a sample is serial, so no barriers are needed.
+            // read, and the lanes are independent, so no barriers are
+            // needed. Each arc record loads once per batch; lane k does
+            // exactly the arithmetic of a lone sample.
             for (const StatTask& t : sys.tasks) {
               // One local draw per instance, shared by its edges and arcs.
-              const double zc = w_g * zg_cell + w_l * z_cell[t.cell];
-              double best = -1.0;
+              const double* zl = &z_cell[t.cell * B];
+              std::array<double, B> zc{};
+              std::array<double, B> best{};
+              for (std::size_t k = 0; k < B; ++k) {
+                zc[k] = w_g * zg_cell[k] + w_l * zl[k];
+                best[k] = -1.0;
+              }
               const StatArc* arc = &sys.arcs[t.first_arc];
               for (std::uint32_t i = 0; i < t.num_arcs; ++i, ++arc) {
-                const double cell_d = cell_stage_delay(*arc, zc);
-                double wire_d = arc->elmore;
+                const double* src = &arr[arc->src_slot * B];
                 if (arc->wire_z >= 0) {
-                  const double zw =
-                      w_g * zg_wire +
-                      w_l * z_wire[static_cast<std::size_t>(arc->wire_z)];
-                  wire_d = wire_stage_delay(arc->elmore, arc->xw, zw);
+                  const double* zw =
+                      &z_wire[static_cast<std::size_t>(arc->wire_z) * B];
+                  for (std::size_t k = 0; k < B; ++k) {
+                    const double cell_d = cell_stage_delay(*arc, zc[k]);
+                    const double wire_d = wire_stage_delay(
+                        arc->elmore, arc->xw, w_g * zg_wire[k] + w_l * zw[k]);
+                    const double cand = src[k] + wire_d + cell_d;
+                    best[k] = cand > best[k] ? cand : best[k];
+                  }
+                } else {
+                  for (std::size_t k = 0; k < B; ++k) {
+                    const double cell_d = cell_stage_delay(*arc, zc[k]);
+                    const double cand = src[k] + arc->elmore + cell_d;
+                    best[k] = cand > best[k] ? cand : best[k];
+                  }
                 }
-                const double cand = arr[arc->src_slot] + wire_d + cell_d;
-                if (cand > best) best = cand;
               }
-              arr[t.out_slot] = best;
+              std::copy(best.begin(), best.end(), &arr[t.out_slot * B]);
             }
 
             // Quarantine gate: a non-finite arrival (or a NaN-poisoned
             // sample) bumps the per-net counter instead of poisoning the
-            // streamed moments. The raw value stays in the retained
-            // endpoint vectors (checkpoint fidelity); quantile extraction
-            // filters it out.
+            // streamed moments. Each net-edge takes the batch's samples
+            // back to back in sample order. The raw value stays in the
+            // retained endpoint vectors (checkpoint fidelity); quantile
+            // extraction filters it out.
             for (std::size_t n = 0; n < n_nets; ++n) {
               if (!sys.reachable[n]) continue;
-              const double rise = poison ? kQuietNan : arr[2 * n];
-              const double fall = poison ? kQuietNan : arr[2 * n + 1];
-              if (std::isfinite(rise)) {
-                acc[n][0].add(rise);
-              } else {
-                ++quar[n][0];
+              // The two edges' accumulators are independent chains;
+              // interleaving them lets their divisions overlap.
+              const double* rise = &arr[2 * n * B];
+              const double* fall = rise + B;
+              MomentAccumulator a_rise = acc[n][0];
+              MomentAccumulator a_fall = acc[n][1];
+              std::uint64_t q_rise = 0;
+              std::uint64_t q_fall = 0;
+              for (std::size_t k = 0; k < nb; ++k) {
+                const double r = poison[k] ? kQuietNan : rise[k];
+                const double f = poison[k] ? kQuietNan : fall[k];
+                if (std::isfinite(r)) {
+                  a_rise.add(r);
+                } else {
+                  ++q_rise;
+                }
+                if (std::isfinite(f)) {
+                  a_fall.add(f);
+                } else {
+                  ++q_fall;
+                }
               }
-              if (std::isfinite(fall)) {
-                acc[n][1].add(fall);
-              } else {
-                ++quar[n][1];
-              }
+              acc[n][0] = a_rise;
+              acc[n][1] = a_fall;
+              quar[n][0] += q_rise;
+              quar[n][1] += q_fall;
             }
-            double circuit = 0.0;
-            bool circuit_finite = !poison;
+            // Endpoints: B samples per PO at a time; each lane's circuit
+            // max runs over the POs in ascending order.
+            std::array<double, B> circuit{};
+            std::array<bool, B> circuit_finite{};
+            for (std::size_t k = 0; k < B; ++k) circuit_finite[k] = !poison[k];
             for (std::size_t p = 0; p < n_pos; ++p) {
               const auto po = static_cast<std::size_t>(po_nets[p]);
-              const double worst =
-                  poison ? kQuietNan
-                         : std::max(arr[2 * po], arr[2 * po + 1]);
-              out.po_samples[p][s] = worst;
-              if (!std::isfinite(worst)) {
-                circuit_finite = false;
-              } else if (worst > circuit) {
-                circuit = worst;
+              const double* rise = &arr[2 * po * B];
+              const double* fall = rise + B;
+              double* dst = &out.po_samples[p][s0];
+              for (std::size_t k = 0; k < nb; ++k) {
+                const double worst =
+                    poison[k] ? kQuietNan : std::max(rise[k], fall[k]);
+                dst[k] = worst;
+                if (!std::isfinite(worst)) {
+                  circuit_finite[k] = false;
+                } else if (worst > circuit[k]) {
+                  circuit[k] = worst;
+                }
               }
             }
-            out.circuit_samples[s] = circuit_finite ? circuit : kQuietNan;
+            for (std::size_t k = 0; k < nb; ++k) {
+              out.circuit_samples[s0 + k] =
+                  circuit_finite[k] ? circuit[k] : kQuietNan;
+            }
           }
           if (writer != nullptr) {
             // Completed block -> durable record (append is thread-safe).
@@ -362,8 +440,11 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
   sort_diagnostics(out.diagnostics);
   if (full_range) {
     out.samples_done = n_samples;
-    // Endpoint distributions from the retained sample vectors.
-    finalize_endpoints(&out);
+    // Endpoint distributions from the retained sample vectors. Every
+    // sample is in, so this pass takes no cancellation poll.
+    ExecContext endpoint_exec = exec;
+    endpoint_exec.cancel = nullptr;
+    finalize_endpoints(&out, endpoint_exec);
   } else {
     // Subset run: samples_done counts only the covered block ranges, and
     // the endpoint distributions stay empty — the uncovered stretches of
@@ -433,7 +514,7 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::partial_result(
       out.total_quarantined += out.quarantined[n][e];
     }
   }
-  finalize_endpoints(&out);
+  finalize_endpoints(&out, ExecContext{});
   return out;
 }
 

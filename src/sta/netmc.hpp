@@ -21,10 +21,13 @@
 // forks; per-net statistics stream into Pebay/Welford accumulators grouped
 // into kAccumBlocks fixed sample blocks whose boundaries depend only on
 // the sample count, and the blocks merge in index order — so results are
-// byte-identical at any thread count and any scheduling grain. Memory
-// stays O(kAccumBlocks * nets) for the streaming statistics plus
-// O(POs * samples) for the retained endpoint sample vectors (the empirical
-// -3s..+3s quantiles fall out of those).
+// byte-identical at any thread count and any scheduling grain. Within a
+// block, samples walk the tasks in batches of 8, and the per-PO endpoint
+// statistics are computed in parallel once every sample is in; neither
+// changes a bit. Memory stays O(kAccumBlocks * nets) for the streaming
+// statistics, 8 * (2 * nets + cells + nets) doubles of scratch per chunk,
+// plus O(POs * samples) for the retained endpoint sample vectors (the
+// empirical -3s..+3s quantiles fall out of those).
 
 #include <array>
 #include <cstddef>

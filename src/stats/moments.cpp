@@ -4,25 +4,6 @@
 
 namespace nsdc {
 
-void MomentAccumulator::add(double x) noexcept {
-  if (!std::isfinite(x)) {
-    ++rejected_;
-    return;
-  }
-  const double n1 = static_cast<double>(n_);
-  ++n_;
-  const double n = static_cast<double>(n_);
-  const double delta = x - mean_;
-  const double delta_n = delta / n;
-  const double delta_n2 = delta_n * delta_n;
-  const double term1 = delta * delta_n * n1;
-  mean_ += delta_n;
-  m4_ += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * m2_ -
-         4.0 * delta_n * m3_;
-  m3_ += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2_;
-  m2_ += term1;
-}
-
 void MomentAccumulator::merge(const MomentAccumulator& other) noexcept {
   rejected_ += other.rejected_;
   if (other.n_ == 0) return;

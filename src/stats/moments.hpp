@@ -14,6 +14,7 @@
 // (the regression forms have no intercept, so this is the only convention
 // under which the model is unbiased for Gaussian inputs).
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -42,6 +43,8 @@ struct Moments {
 /// samples would corrupt moment accumulation unnoticed).
 class MomentAccumulator {
  public:
+  /// Defined inline below: the netlist MC calls it once per sample and
+  /// net-edge, a batch of samples back to back.
   void add(double x) noexcept;
   void merge(const MomentAccumulator& other) noexcept;
 
@@ -76,6 +79,25 @@ class MomentAccumulator {
   double m3_ = 0.0;
   double m4_ = 0.0;
 };
+
+inline void MomentAccumulator::add(double x) noexcept {
+  if (!std::isfinite(x)) {
+    ++rejected_;
+    return;
+  }
+  const double n1 = static_cast<double>(n_);
+  ++n_;
+  const double n = static_cast<double>(n_);
+  const double delta = x - mean_;
+  const double delta_n = delta / n;
+  const double delta_n2 = delta_n * delta_n;
+  const double term1 = delta * delta_n * n1;
+  mean_ += delta_n;
+  m4_ += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * m2_ -
+         4.0 * delta_n * m3_;
+  m3_ += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2_;
+  m2_ += term1;
+}
 
 /// Batch helper: moments of a sample span.
 Moments compute_moments(std::span<const double> samples);
