@@ -20,7 +20,9 @@ struct PathStage {
   double input_slew = 10e-12;  ///< mean slew at the pin (s)
   double output_load = 0.0;    ///< total cap at the cell output (F)
   /// Fanout RC tree, annotated with sink pin caps. A single-node tree
-  /// means a wireless (direct) connection.
+  /// means a wireless (direct) connection. A copy of the annotated net's
+  /// tree: it shares that tree's topology and owns only its node caps, so
+  /// a stage costs one cap vector (DESIGN §12).
   RcTree wire;
   int sink_node = -1;  ///< tree node where the path continues (-1 => none)
   /// Next stage's cell name; empty on the last stage (an FO4 INVx4

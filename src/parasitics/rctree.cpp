@@ -1,15 +1,31 @@
 #include "parasitics/rctree.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
 namespace nsdc {
 
-RcTree::RcTree() {
-  parent_.push_back(-1);
-  res_.push_back(0.0);
-  cap_.push_back(0.0);
+RcTree::RcTree() : cap_(1, 0.0) {
+  // Every root-only tree shares this shape, so defaults allocate only caps.
+  static const std::shared_ptr<Shape> root =
+      std::make_shared<Shape>(Shape{{-1}, {0.0}, {}});
+  shape_ = root;
+}
+
+RcTree::Shape& RcTree::own_shape() {
+  if (shape_.use_count() != 1) {
+    shape_ = std::make_shared<Shape>(*shape_);
+  } else {
+#if !defined(__SANITIZE_THREAD__)  // TSan ignores fences, and GCC warns
+    // use_count() is a relaxed read. A count of 1 may come from a copy just
+    // dropped on another thread; the fence orders that thread's reads of
+    // the shape before this tree's writes.
+    std::atomic_thread_fence(std::memory_order_acquire);
+#endif
+  }
+  return *shape_;
 }
 
 int RcTree::add_node(int parent, double r_ohms, double c_farads) {
@@ -19,8 +35,9 @@ int RcTree::add_node(int parent, double r_ohms, double c_farads) {
   if (!(r_ohms >= 0.0) || !(c_farads >= 0.0)) {
     throw std::invalid_argument("RcTree::add_node: negative R or C");
   }
-  parent_.push_back(parent);
-  res_.push_back(r_ohms);
+  Shape& s = own_shape();
+  s.parent.push_back(parent);
+  s.res.push_back(r_ohms);
   cap_.push_back(c_farads);
   return num_nodes() - 1;
 }
@@ -33,11 +50,11 @@ void RcTree::mark_sink(int node, std::string pin_name) {
   if (node <= 0 || node >= num_nodes()) {
     throw std::out_of_range("RcTree::mark_sink: bad node");
   }
-  sinks_.push_back({node, std::move(pin_name)});
+  own_shape().sinks.push_back({node, std::move(pin_name)});
 }
 
 int RcTree::sink_node(std::string_view pin) const {
-  for (const auto& s : sinks_) {
+  for (const auto& s : shape_->sinks) {
     if (s.pin == pin) return s.node;
   }
   throw std::out_of_range("RcTree: unknown sink pin " + std::string(pin));
@@ -51,7 +68,7 @@ double RcTree::total_cap() const {
 
 double RcTree::total_res() const {
   double r = 0.0;
-  for (double x : res_) r += x;
+  for (double x : shape_->res) r += x;
   return r;
 }
 
@@ -127,30 +144,32 @@ double sweep(const std::vector<int>& parent, const std::vector<double>& cap,
 }  // namespace
 
 double RcTree::elmore(int node) const {
-  SweepScratch& s = sweep_scratch(parent_.size(), node);
-  trace_path(parent_, node, s);
+  const Shape& sh = *shape_;
+  SweepScratch& s = sweep_scratch(sh.parent.size(), node);
+  trace_path(sh.parent, node, s);
   for (int v : s.path) {
-    s.sum_up[static_cast<std::size_t>(v)] = sum_to_root(parent_, res_, v);
+    s.sum_up[static_cast<std::size_t>(v)] = sum_to_root(sh.parent, sh.res, v);
   }
-  return sweep(parent_, cap_, s);
+  return sweep(sh.parent, cap_, s);
 }
 
 double RcTree::second_moment(int node) const {
   // m2(i) = sum_k R_common(i,k) * C_k * m1(k); this is the standard
   // path-tracing recursion for the second impulse-response moment. Every
   // m1(k) is elmore(k)'s own sweep, over one sum_up table for all nodes.
-  SweepScratch& s = sweep_scratch(parent_.size(), node);
+  const Shape& sh = *shape_;
+  SweepScratch& s = sweep_scratch(sh.parent.size(), node);
   for (int v = 1; v < num_nodes(); ++v) {
-    s.sum_up[static_cast<std::size_t>(v)] = sum_to_root(parent_, res_, v);
+    s.sum_up[static_cast<std::size_t>(v)] = sum_to_root(sh.parent, sh.res, v);
   }
   for (int k = 1; k < num_nodes(); ++k) {
-    trace_path(parent_, k, s);
-    s.m1[static_cast<std::size_t>(k)] = sweep(parent_, cap_, s);
+    trace_path(sh.parent, k, s);
+    s.m1[static_cast<std::size_t>(k)] = sweep(sh.parent, cap_, s);
   }
-  trace_path(parent_, node, s);
-  sweep(parent_, cap_, s);
+  trace_path(sh.parent, node, s);
+  sweep(sh.parent, cap_, s);
   double m2 = 0.0;
-  for (std::size_t k = 1; k < parent_.size(); ++k) {
+  for (std::size_t k = 1; k < sh.parent.size(); ++k) {
     m2 += s.shared[k] * cap_[k] * s.m1[k];
   }
   return m2;
@@ -165,8 +184,9 @@ double RcTree::d2m(int node) const {
 
 RcTree RcTree::scaled(double r_factor, double c_factor) const {
   RcTree t = *this;
-  for (std::size_t i = 0; i < t.res_.size(); ++i) {
-    t.res_[i] *= r_factor;
+  std::vector<double>& res = t.own_shape().res;
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    res[i] *= r_factor;
     t.cap_[i] *= c_factor;
   }
   return t;
@@ -175,12 +195,13 @@ RcTree RcTree::scaled(double r_factor, double c_factor) const {
 RcTree RcTree::perturbed(Rng& rng, double sigma_local, double r_factor,
                          double c_factor) const {
   RcTree t = *this;
+  std::vector<double>& res = t.own_shape().res;
   auto local = [&] {
     const double z = rng.normal();
     return std::max(0.3, 1.0 + sigma_local * (z > 4.0 ? 4.0 : (z < -4.0 ? -4.0 : z)));
   };
-  for (std::size_t i = 1; i < t.res_.size(); ++i) {
-    t.res_[i] *= r_factor * local();
+  for (std::size_t i = 1; i < res.size(); ++i) {
+    res[i] *= r_factor * local();
     t.cap_[i] *= c_factor * local();
   }
   t.cap_[0] *= c_factor;
@@ -197,9 +218,9 @@ std::vector<NodeId> RcTree::build_spice(Circuit& ckt, NodeId root,
   }
   for (int n = 1; n < num_nodes(); ++n) {
     const auto ni = static_cast<std::size_t>(n);
-    const auto pi = static_cast<std::size_t>(parent_[ni]);
+    const auto pi = static_cast<std::size_t>(shape_->parent[ni]);
     // A zero-resistance edge would need node merging; clamp to 0.1 Ohm.
-    ckt.add_resistor(ids[pi], ids[ni], std::max(res_[ni], 0.1));
+    ckt.add_resistor(ids[pi], ids[ni], std::max(shape_->res[ni], 0.1));
     if (cap_[ni] > 0.0) ckt.add_capacitor(ids[ni], kGround, cap_[ni]);
   }
   if (cap_[0] > 0.0) ckt.add_capacitor(root, kGround, cap_[0]);

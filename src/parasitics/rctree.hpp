@@ -5,7 +5,15 @@
 // Node 0 is always the root (the driver output pin). Every other node has a
 // parent and a resistance on the edge to its parent; capacitance is lumped
 // at nodes. Sinks (receiver input pins) are marked nodes.
+//
+// Copies share the topology: parents, edge resistances and sinks sit in one
+// reference-counted shape, and each tree owns only its node caps. A copy
+// costs a count increment and one vector of doubles; add_cap writes the
+// caps alone, and the calls that change the shape give the tree its own
+// shape first whenever another tree still reaches it. A moved-from tree
+// holds no shape: assign to it or destroy it, nothing else.
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,16 +39,20 @@ class RcTree {
   /// Marks a node as a sink pin.
   void mark_sink(int node, std::string pin_name);
 
-  int num_nodes() const { return static_cast<int>(parent_.size()); }
-  int parent(int node) const { return parent_.at(static_cast<std::size_t>(node)); }
-  double edge_res(int node) const { return res_.at(static_cast<std::size_t>(node)); }
+  int num_nodes() const { return static_cast<int>(cap_.size()); }
+  int parent(int node) const {
+    return shape_->parent.at(static_cast<std::size_t>(node));
+  }
+  double edge_res(int node) const {
+    return shape_->res.at(static_cast<std::size_t>(node));
+  }
   double node_cap(int node) const { return cap_.at(static_cast<std::size_t>(node)); }
 
   struct Sink {
     int node = 0;
     std::string pin;
   };
-  const std::vector<Sink>& sinks() const { return sinks_; }
+  const std::vector<Sink>& sinks() const { return shape_->sinks; }
   /// Sink node for a pin name; throws std::out_of_range if absent.
   /// Takes a string_view so interned names (FlatTimingGraph arena) look
   /// up without allocating.
@@ -76,10 +88,18 @@ class RcTree {
                                   double initial_v) const;
 
  private:
-  std::vector<int> parent_;
-  std::vector<double> res_;
+  /// Everything but the caps. A shape two trees can reach is never written.
+  struct Shape {
+    std::vector<int> parent;
+    std::vector<double> res;
+    std::vector<Sink> sinks;
+  };
+  /// The shape, first replaced by a private copy when another tree shares
+  /// it; the only way to a writable shape.
+  Shape& own_shape();
+
+  std::shared_ptr<Shape> shape_;
   std::vector<double> cap_;
-  std::vector<Sink> sinks_;
 };
 
 }  // namespace nsdc

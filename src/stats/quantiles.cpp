@@ -59,15 +59,30 @@ double normal_quantile(double p) {
 
 double sigma_level_probability(double n_sigma) { return normal_cdf(n_sigma); }
 
+namespace {
+
+/// The two order statistics a type-7 quantile at p interpolates between
+/// in a sample of n >= 2, and the weight of the upper one.
+struct Type7Bracket {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+};
+
+Type7Bracket type7_bracket(std::size_t n, double p) {
+  p = std::clamp(p, 0.0, 1.0);
+  const double h = p * (static_cast<double>(n) - 1.0);
+  const auto lo = static_cast<std::size_t>(std::floor(h));
+  return {lo, std::min(lo + 1, n - 1), h - static_cast<double>(lo)};
+}
+
+}  // namespace
+
 double quantile_sorted(std::span<const double> sorted, double p) {
   if (sorted.empty()) throw std::invalid_argument("quantile: empty sample");
   if (sorted.size() == 1) return sorted[0];
-  p = std::clamp(p, 0.0, 1.0);
-  const double h = p * (static_cast<double>(sorted.size()) - 1.0);
-  const auto lo = static_cast<std::size_t>(std::floor(h));
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = h - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  const Type7Bracket b = type7_bracket(sorted.size(), p);
+  return sorted[b.lo] + b.frac * (sorted[b.hi] - sorted[b.lo]);
 }
 
 double quantile(std::span<const double> samples, double p) {
@@ -178,6 +193,18 @@ struct GpdFit {
   bool ok = false;
 };
 
+/// Samples below which pot_quantile_sorted falls back to the order statistic.
+constexpr std::size_t kPotMinSamples = 80;
+/// The tail fraction sigma_quantiles_smoothed fits (pot_quantile_sorted's
+/// default).
+constexpr double kPotTailFraction = 0.12;
+
+/// Size of the upper (or lower) block pot_quantile_sorted fits.
+std::size_t pot_tail_size(std::size_t n, double tail_fraction) {
+  return static_cast<std::size_t>(
+      std::floor(tail_fraction * static_cast<double>(n)));
+}
+
 GpdFit fit_gpd_pwm(const std::vector<double>& exceedances) {
   GpdFit fit;
   const std::size_t n = exceedances.size();
@@ -212,11 +239,10 @@ double pot_quantile_sorted(std::span<const double> sorted, double p,
   if (n == 0) throw std::invalid_argument("pot_quantile: empty sample");
   const bool lower = p < 0.5;
   const double tail_p = lower ? p : 1.0 - p;
-  if (tail_p >= tail_fraction || n < 80) {
+  if (tail_p >= tail_fraction || n < kPotMinSamples) {
     return quantile_sorted(sorted, p);  // not in the fitted tail
   }
-  const auto n_tail = static_cast<std::size_t>(
-      std::floor(tail_fraction * static_cast<double>(n)));
+  const std::size_t n_tail = pot_tail_size(n, tail_fraction);
   // Threshold = the order statistic bounding the tail block.
   std::vector<double> exceed;
   exceed.reserve(n_tail);
@@ -244,9 +270,61 @@ double pot_quantile_sorted(std::span<const double> sorted, double p,
   return lower ? u - y : u + y;
 }
 
+namespace {
+
+/// Moves into each index of `pos` (ascending, inside [begin, end)) the value
+/// a full ascending sort of `s` puts there. [begin, end) must already hold
+/// the values a full sort puts in that range; the partition around each
+/// selected index keeps that true for the ranges on either side of it.
+void select_order_statistics(std::vector<double>& s, std::size_t begin,
+                             std::size_t end,
+                             std::span<const std::size_t> pos) {
+  if (pos.empty()) return;
+  const std::size_t mid = pos.size() / 2;
+  const auto at = s.begin();
+  std::nth_element(at + static_cast<std::ptrdiff_t>(begin),
+                   at + static_cast<std::ptrdiff_t>(pos[mid]),
+                   at + static_cast<std::ptrdiff_t>(end));
+  select_order_statistics(s, begin, pos[mid], pos.first(mid));
+  select_order_statistics(s, pos[mid] + 1, end, pos.subspan(mid + 1));
+}
+
+/// Leaves every entry of `s` that sigma_quantiles_smoothed reads where a
+/// full ascending sort puts it: each level's type-7 bracket (the POT levels
+/// read theirs when the fit falls back), the POT threshold and the upper
+/// tail block, which is sorted as the fit reads it. Below the POT sample
+/// floor the whole sample is sorted. Each read value equals the sorted
+/// sample's, so every quantile keeps its bits.
+void order_read_positions(std::vector<double>& s) {
+  const std::size_t n = s.size();
+  if (n < kPotMinSamples) {
+    std::sort(s.begin(), s.end());
+    return;
+  }
+  const std::size_t top = n - pot_tail_size(n, kPotTailFraction);
+  std::array<std::size_t, 2 * kSigmaLevels.size() + 1> pos{};
+  for (std::size_t i = 0; i < kSigmaLevels.size(); ++i) {
+    const Type7Bracket b =
+        type7_bracket(n, sigma_level_probability(kSigmaLevels[i]));
+    pos[2 * i] = b.lo;
+    pos[2 * i + 1] = b.hi;
+  }
+  pos.back() = top - 1;  // the POT threshold
+  std::sort(pos.begin(), pos.end());
+  // The tail block's sort below places the indices at or past `top`.
+  const auto last =
+      std::unique(pos.begin(), std::lower_bound(pos.begin(), pos.end(), top));
+  select_order_statistics(s, 0, n,
+                          std::span<const std::size_t>(pos.begin(), last));
+  std::sort(s.begin() + static_cast<std::ptrdiff_t>(top), s.end());
+}
+
+}  // namespace
+
 std::array<double, 7> sigma_quantiles_smoothed(
     std::span<const double> samples) {
-  const std::vector<double> s = sorted_copy(samples);
+  std::vector<double> s(samples.begin(), samples.end());
+  order_read_positions(s);
   std::array<double, 7> out{};
   for (std::size_t i = 0; i < kSigmaLevels.size(); ++i) {
     const double p = sigma_level_probability(kSigmaLevels[i]);
@@ -254,7 +332,8 @@ std::array<double, 7> sigma_quantiles_smoothed(
     // POT only where it wins: the heavy upper tail. The lower tail of a
     // delay distribution is short/compressed, where the order statistic
     // is already tight and the GPD fit adds noise.
-    out[i] = lvl >= 2 ? pot_quantile_sorted(s, p) : quantile_sorted(s, p);
+    out[i] = lvl >= 2 ? pot_quantile_sorted(s, p, kPotTailFraction)
+                      : quantile_sorted(s, p);
   }
   // POT fits of the two tail levels are independent; enforce ordering.
   for (std::size_t i = 1; i < out.size(); ++i) {

@@ -4,7 +4,13 @@
 
 #include "stats/moments.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -248,6 +254,96 @@ TEST_P(QuantileGridSweep, MatchesClosedFormUniform) {
 INSTANTIATE_TEST_SUITE_P(Ps, QuantileGridSweep,
                          ::testing::Values(0.01, 0.1, 0.25, 0.5, 0.75, 0.9,
                                            0.99));
+
+// ------------------------------------- selection against a full sort ----
+
+/// sigma_quantiles_smoothed as it read its levels from a fully sorted copy,
+/// before it selected only the order statistics it reads: the oracle the
+/// selection must match bit for bit.
+std::array<double, 7> reference_sigma_quantiles_smoothed(
+    std::span<const double> samples) {
+  const std::vector<double> s = sorted_copy(samples);
+  std::array<double, 7> out{};
+  for (std::size_t i = 0; i < kSigmaLevels.size(); ++i) {
+    const double p = sigma_level_probability(kSigmaLevels[i]);
+    out[i] = kSigmaLevels[i] >= 2 ? pot_quantile_sorted(s, p)
+                                  : quantile_sorted(s, p);
+  }
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    out[i] = std::max(out[i], out[i - 1]);
+  }
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool same_bits(const std::array<double, 7>& a, const std::array<double, 7>& b) {
+  return std::memcmp(a.data(), b.data(), sizeof(a)) == 0;
+}
+
+/// `n` seeded samples of one of the shapes the selection must handle.
+std::vector<double> shaped_sample(const std::string& shape, std::size_t n,
+                                  std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> xs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (shape == "gaussian") {
+      xs[i] = rng.normal(1.0, 0.2);
+    } else if (shape == "tied") {  // integers in [-3, 3], zeros of both signs
+      const double v = std::floor(rng.uniform(-3.0, 4.0));
+      xs[i] = v == 0.0 && i % 2 == 0 ? -0.0 : v;
+    } else if (shape == "constant") {
+      xs[i] = 2.5;
+    } else if (shape == "negative") {
+      xs[i] = -1.0 - std::exp(rng.normal(0.0, 0.5));
+    } else if (shape == "pareto") {  // tail index 0.5: no finite mean
+      xs[i] = std::pow(1.0 - rng.uniform(), -2.0);
+    } else {  // "slow_mode": every ninth sample sits 8x out
+      xs[i] = std::exp(rng.normal(0.0, 0.1)) * (i % 9 == 0 ? 8.0 : 1.0);
+    }
+  }
+  return xs;
+}
+
+const std::vector<std::string> kShapes = {"gaussian", "tied",   "constant",
+                                          "negative", "pareto", "slow_mode"};
+
+TEST(SigmaQuantilesSmoothed, SelectionMatchesFullSortBitForBit) {
+  for (const std::size_t n : {1, 2, 79, 80, 81, 4096, 100000}) {
+    for (std::size_t k = 0; k < kShapes.size(); ++k) {
+      const std::vector<double> xs = shaped_sample(kShapes[k], n, 700 + k);
+      EXPECT_TRUE(same_bits(sigma_quantiles_smoothed(xs),
+                            reference_sigma_quantiles_smoothed(xs)))
+          << kShapes[k] << ", n = " << n;
+    }
+  }
+}
+
+TEST(SigmaQuantilesSmoothed, BothPotBranchesAreCovered) {
+  // The slow mode puts the whole fitted block far above the threshold, so
+  // the exceedances are nearly equal, the PWM shape falls below -1 and the
+  // +2s/+3s levels take the order-statistic fallback. The Gaussian sample
+  // fits. (A Pareto tail fits too: for positive exceedances this estimator
+  // never puts the shape above 1.)
+  const double p2 = sigma_level_probability(2);
+  const double p3 = sigma_level_probability(3);
+  for (const std::size_t n : {80, 4096, 100000}) {
+    const std::vector<double> slow = shaped_sample("slow_mode", n, 705);
+    const std::vector<double> sorted = sorted_copy(slow);
+    const auto q = sigma_quantiles_smoothed(slow);
+    EXPECT_TRUE(same_bits(q[5], quantile_sorted(sorted, p2))) << n;
+    EXPECT_TRUE(same_bits(q[6], quantile_sorted(sorted, p3))) << n;
+
+    for (const char* fits : {"gaussian", "pareto"}) {
+      const std::vector<double> xs = shaped_sample(fits, n, 700);
+      EXPECT_FALSE(same_bits(sigma_quantiles_smoothed(xs)[6],
+                             quantile_sorted(sorted_copy(xs), p3)))
+          << fits << ", n = " << n;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace nsdc

@@ -6,10 +6,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <numbers>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "parasitics/spef.hpp"
+#include "util/exec.hpp"
+#include "util/threading.hpp"
 
 namespace nsdc {
 namespace {
@@ -271,6 +276,174 @@ TEST(RcTreeSweep, MatchesQuadraticWalkAfterSpefRoundTrip) {
   for (const auto& [name, tree] : back.all()) {
     EXPECT_EQ(sweep_mismatches(tree), 0) << name;
   }
+}
+
+// ------------------------------------------------------ shared shapes ----
+
+/// Every value a tree exposes, for bit-level before/after comparisons.
+struct TreeBits {
+  std::vector<int> parent;
+  std::vector<double> res, cap, m1, m2;
+  std::vector<std::pair<int, std::string>> sinks;
+};
+
+TreeBits bits_of(const RcTree& t) {
+  TreeBits b;
+  for (int n = 0; n < t.num_nodes(); ++n) {
+    b.parent.push_back(t.parent(n));
+    b.res.push_back(t.edge_res(n));
+    b.cap.push_back(t.node_cap(n));
+    b.m1.push_back(t.elmore(n));
+    b.m2.push_back(t.second_moment(n));
+  }
+  for (const auto& s : t.sinks()) b.sinks.emplace_back(s.node, s.pin);
+  return b;
+}
+
+bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_bits(const TreeBits& a, const TreeBits& b) {
+  return a.parent == b.parent && a.sinks == b.sinks &&
+         same_doubles(a.res, b.res) && same_doubles(a.cap, b.cap) &&
+         same_doubles(a.m1, b.m1) && same_doubles(a.m2, b.m2);
+}
+
+/// A random tree with every fourth node marked as a sink.
+RcTree sinked_tree(std::uint64_t seed, int nodes) {
+  RcTree t = random_tree(seed, nodes);
+  for (int n = 1; n < t.num_nodes(); n += 4) {
+    t.mark_sink(n, "u" + std::to_string(n) + ":A");
+  }
+  return t;
+}
+
+TEST(RcTreeShape, MutatingACopyOrItsOriginalLeavesTheOtherBitIdentical) {
+  // Each call that can change a tree, applied the way callers apply it.
+  const std::pair<const char*, std::function<void(RcTree&)>> mutations[] = {
+      {"add_node", [](RcTree& t) { t.add_node(1, 42.0, 3e-15); }},
+      {"mark_sink", [](RcTree& t) { t.mark_sink(2, "extra:B"); }},
+      {"add_cap", [](RcTree& t) { t.add_cap(3, 1.5e-15); }},
+      {"scaled", [](RcTree& t) { t = t.scaled(1.3, 0.7); }},
+      {"perturbed",
+       [](RcTree& t) {
+         Rng rng(9);
+         t = t.perturbed(rng, 0.1, 1.05, 0.95);
+       }},
+  };
+  for (const auto& [name, mutate] : mutations) {
+    RcTree original = sinked_tree(7, 24);
+    RcTree copy = original;
+
+    const TreeBits original_before = bits_of(original);
+    mutate(copy);
+    EXPECT_TRUE(same_bits(bits_of(original), original_before))
+        << name << " on the copy reached the original";
+    EXPECT_FALSE(same_bits(bits_of(copy), original_before))
+        << name << " changed nothing";
+
+    const TreeBits copy_before = bits_of(copy);
+    mutate(original);
+    EXPECT_TRUE(same_bits(bits_of(copy), copy_before))
+        << name << " on the original reached the copy";
+    EXPECT_TRUE(same_bits(bits_of(original), copy_before))
+        << name << " is not deterministic";
+  }
+}
+
+TEST(RcTreeShape, DefaultTreesAreRootOnlyAndIndependent) {
+  RcTree a;
+  RcTree b = a;
+  for (const RcTree* t : {&a, &b}) {
+    EXPECT_EQ(t->num_nodes(), 1);
+    EXPECT_EQ(t->parent(0), -1);
+    EXPECT_EQ(t->edge_res(0), 0.0);
+    EXPECT_EQ(t->node_cap(0), 0.0);
+    EXPECT_TRUE(t->sinks().empty());
+  }
+  a.add_node(0, 10.0, 1e-15);
+  b.add_node(0, 20.0, 2e-15);
+  b.add_node(1, 30.0, 3e-15);
+  b.mark_sink(2, "Z");
+  EXPECT_EQ(a.num_nodes(), 2);
+  EXPECT_EQ(a.edge_res(1), 10.0);
+  EXPECT_EQ(a.node_cap(1), 1e-15);
+  EXPECT_TRUE(a.sinks().empty());
+  EXPECT_EQ(b.num_nodes(), 3);
+  EXPECT_EQ(b.edge_res(1), 20.0);
+  const RcTree fresh;
+  EXPECT_EQ(fresh.num_nodes(), 1);
+  EXPECT_TRUE(fresh.sinks().empty());
+}
+
+TEST(RcTreeShape, PoolThreadsCopyAnnotateAndPerturbOneTree) {
+  const RcTree base = sinked_tree(21, 60);
+  const TreeBits base_before = bits_of(base);
+  // One annotation plus one variation sample per task, the way
+  // characterization and annotation copy a shared tree.
+  auto task = [&base](std::size_t i) {
+    RcTree t = base;
+    std::vector<double> out;
+    for (const auto& s : t.sinks()) {
+      t.add_cap(s.node, 1e-15 * static_cast<double>(1 + (i + s.node) % 5));
+    }
+    for (const auto& s : t.sinks()) out.push_back(t.elmore(s.node));
+    Rng rng(1000 + i);
+    const RcTree p = t.perturbed(rng, 0.1, 1.02, 0.98);
+    for (const auto& s : p.sinks()) {
+      out.push_back(p.elmore(s.node));
+      out.push_back(p.second_moment(s.node));
+    }
+    return out;
+  };
+  constexpr std::size_t kTasks = 64;
+  std::vector<std::vector<double>> serial(kTasks);
+  std::vector<std::vector<double>> pooled(kTasks);
+  for (std::size_t i = 0; i < kTasks; ++i) serial[i] = task(i);
+
+  ThreadPool pool(3);
+  ExecContext exec;
+  exec.pool = &pool;
+  exec.threads = 4;
+  const unsigned blocks =
+      exec.parallel_for(kTasks, [&](std::size_t i) { pooled[i] = task(i); });
+  EXPECT_EQ(blocks, 4u);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_TRUE(same_doubles(pooled[i], serial[i])) << "task " << i;
+  }
+  EXPECT_TRUE(same_bits(bits_of(base), base_before));
+}
+
+TEST(RcTreeShape, SpefRoundTripOfAnAnnotatedCopyMatchesADirectBuild) {
+  // Annotation copies the database tree and adds each receiver's pin cap
+  // at its sink; the direct build adds the same caps to its own tree.
+  const auto pin_cap = [](int node) { return 0.25e-15 * (1 + node % 3); };
+  const RcTree stored = sinked_tree(33, 40);
+  RcTree annotated = stored;
+  RcTree direct = sinked_tree(33, 40);
+  for (RcTree* t : {&annotated, &direct}) {
+    for (const auto& s : t->sinks()) t->add_cap(s.node, pin_cap(s.node));
+  }
+  ParasiticDb from_copy;
+  ParasiticDb from_direct;
+  from_copy.add("n1", annotated);
+  from_direct.add("n1", direct);
+  const std::string spef = from_copy.to_spef("d");
+  EXPECT_EQ(spef, from_direct.to_spef("d"));
+  EXPECT_TRUE(same_bits(
+      bits_of(ParasiticDb::from_spef(spef).net("n1")),
+      bits_of(ParasiticDb::from_spef(from_direct.to_spef("d")).net("n1"))));
+
+  // The stored tree the copy came from still writes its unannotated SPEF.
+  ParasiticDb original;
+  ParasiticDb rebuilt;
+  original.add("n1", stored);
+  rebuilt.add("n1", sinked_tree(33, 40));
+  EXPECT_EQ(original.to_spef("d"), rebuilt.to_spef("d"));
+  EXPECT_NE(original.to_spef("d"), spef);
 }
 
 }  // namespace
