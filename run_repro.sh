@@ -29,11 +29,12 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 } 2>&1 | tee analyze_output.txt
 
 # bench_micro_perf regenerates the checked-in *_perf.json records
-# (sta_parallel, netmc_parallel, incremental_sta, netmc_checkpoint,
-# ssta_analytic, analysis, flatgraph) in the working directory as a side
-# effect; each opens with the shared perfjson envelope (schema_version +
-# host block). flatgraph_perf.json additionally enforces the >=1.3x
-# SoA-vs-legacy throughput gate on the largest (~1M-cell) design.
+# (netmc_parallel, incremental_sta, netmc_checkpoint, ssta_analytic,
+# flatgraph, serve, dist; plus the untracked analysis) in the working
+# directory as a side effect; each opens with the shared perfjson
+# envelope (schema_version + host block). flatgraph_perf.json
+# additionally enforces the >=1.3x SoA-vs-legacy throughput gate on the
+# largest (~1M-cell) design.
 {
   for b in build/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue

@@ -192,12 +192,13 @@ bool ParasiticDb::save(const std::string& path,
   return static_cast<bool>(f);
 }
 
-std::optional<ParasiticDb> ParasiticDb::load(const std::string& path) {
+std::optional<ParasiticDb> ParasiticDb::load(const std::string& path,
+                                             std::vector<Diagnostic>* diags) {
   std::ifstream f(path);
   if (!f) return std::nullopt;
   std::ostringstream ss;
   ss << f.rdbuf();
-  return from_spef(ss.str());
+  return from_spef(ss.str(), diags);
 }
 
 }  // namespace nsdc

@@ -54,7 +54,10 @@ class ParasiticDb {
                                std::vector<Diagnostic>* diags = nullptr);
 
   bool save(const std::string& path, const std::string& design_name) const;
-  static std::optional<ParasiticDb> load(const std::string& path);
+  /// Reads `path` and parses it with from_spef, forwarding `diags`.
+  /// std::nullopt when the file cannot be opened.
+  static std::optional<ParasiticDb> load(
+      const std::string& path, std::vector<Diagnostic>* diags = nullptr);
 
  private:
   NetMap nets_;

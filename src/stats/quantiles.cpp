@@ -100,90 +100,6 @@ std::array<double, 7> sigma_quantiles(std::span<const double> samples) {
 }
 
 namespace {
-// Continued-fraction kernel for the incomplete beta (Lentz's algorithm).
-double betacf(double a, double b, double x) {
-  constexpr int kMaxIter = 300;
-  constexpr double kEps = 3e-14;
-  constexpr double kFpMin = 1e-300;
-  const double qab = a + b;
-  const double qap = a + 1.0;
-  const double qam = a - 1.0;
-  double c = 1.0;
-  double d = 1.0 - qab * x / qap;
-  if (std::fabs(d) < kFpMin) d = kFpMin;
-  d = 1.0 / d;
-  double h = d;
-  for (int m = 1; m <= kMaxIter; ++m) {
-    const double m2 = 2.0 * m;
-    double aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-    d = 1.0 + aa * d;
-    if (std::fabs(d) < kFpMin) d = kFpMin;
-    c = 1.0 + aa / c;
-    if (std::fabs(c) < kFpMin) c = kFpMin;
-    d = 1.0 / d;
-    h *= d * c;
-    aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-    d = 1.0 + aa * d;
-    if (std::fabs(d) < kFpMin) d = kFpMin;
-    c = 1.0 + aa / c;
-    if (std::fabs(c) < kFpMin) c = kFpMin;
-    d = 1.0 / d;
-    const double del = d * c;
-    h *= del;
-    if (std::fabs(del - 1.0) < kEps) break;
-  }
-  return h;
-}
-}  // namespace
-
-double incomplete_beta(double a, double b, double x) {
-  if (x <= 0.0) return 0.0;
-  if (x >= 1.0) return 1.0;
-  const double ln_bt = std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b) +
-                       a * std::log(x) + b * std::log1p(-x);
-  const double bt = std::exp(ln_bt);
-  if (x < (a + 1.0) / (a + b + 2.0)) {
-    return bt * betacf(a, b, x) / a;
-  }
-  return 1.0 - bt * betacf(b, a, 1.0 - x) / b;
-}
-
-double hd_quantile_sorted(std::span<const double> sorted, double p) {
-  const std::size_t n = sorted.size();
-  if (n == 0) throw std::invalid_argument("hd_quantile: empty sample");
-  if (n == 1) return sorted[0];
-  p = std::clamp(p, 1e-12, 1.0 - 1e-12);
-  const double a = (static_cast<double>(n) + 1.0) * p;
-  const double b = (static_cast<double>(n) + 1.0) * (1.0 - p);
-  double est = 0.0;
-  double prev = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = static_cast<double>(i + 1) / static_cast<double>(n);
-    const double cum = incomplete_beta(a, b, x);
-    est += (cum - prev) * sorted[i];
-    prev = cum;
-    if (prev >= 1.0 - 1e-14 && i + 1 < n) {
-      break;  // remaining weights are ~0
-    }
-  }
-  return est;
-}
-
-double hd_quantile(std::span<const double> samples, double p) {
-  const std::vector<double> s = sorted_copy(samples);
-  return hd_quantile_sorted(s, p);
-}
-
-std::array<double, 7> sigma_quantiles_hd(std::span<const double> samples) {
-  const std::vector<double> s = sorted_copy(samples);
-  std::array<double, 7> out{};
-  for (std::size_t i = 0; i < kSigmaLevels.size(); ++i) {
-    out[i] = hd_quantile_sorted(s, sigma_level_probability(kSigmaLevels[i]));
-  }
-  return out;
-}
-
-namespace {
 
 // Generalized-Pareto fit to exceedances by probability-weighted moments
 // (Hosking & Wallis): returns {xi, sigma}; ok=false when degenerate.

@@ -32,22 +32,8 @@ double quantile_sorted(std::span<const double> sorted, double p);
 /// Empirical quantile of an unsorted sample (copies + sorts).
 double quantile(std::span<const double> samples, double p);
 
-/// Regularized incomplete beta function I_x(a, b) (continued fraction).
-double incomplete_beta(double a, double b, double x);
-
-/// Harrell-Davis quantile estimator: a Beta((n+1)p, (n+1)(1-p))-weighted
-/// average of ALL order statistics. At extreme probabilities (the +-3s
-/// levels with a few hundred samples) it has several times less variance
-/// than the single-order-statistic estimate, which is why library
-/// characterization uses it for its quantile labels.
-double hd_quantile_sorted(std::span<const double> sorted, double p);
-double hd_quantile(std::span<const double> samples, double p);
-
 /// All seven sigma-level quantiles of a sample, ordered -3s..+3s.
 std::array<double, 7> sigma_quantiles(std::span<const double> samples);
-
-/// Harrell-Davis version of the seven sigma-level quantiles.
-std::array<double, 7> sigma_quantiles_hd(std::span<const double> samples);
 
 /// Tail quantile via peaks-over-threshold: a generalized-Pareto fit
 /// (probability-weighted moments) to the empirical tail beyond the

@@ -24,6 +24,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
 #include "gtest/gtest.h"
+#include "same_bits.hpp"
 #include "sta/engine.hpp"
 #include "sta/netmc.hpp"
 #include "util/errors.hpp"
@@ -260,45 +261,6 @@ class DistTest : public ::testing::Test {
     return mc.run(bundle_.netlist, bundle_.parasitics, cfg);
   }
 
-  /// Byte-level equivalence of everything the merge must reproduce (same
-  /// bar as the kill/resume tests in test_faultinject.cpp).
-  static void expect_identical(const NetlistMonteCarlo::Result& got,
-                               const NetlistMonteCarlo::Result& ref,
-                               const std::string& what) {
-    ASSERT_EQ(got.circuit_samples.size(), ref.circuit_samples.size()) << what;
-    for (std::size_t i = 0; i < ref.circuit_samples.size(); ++i) {
-      ASSERT_EQ(got.circuit_samples[i], ref.circuit_samples[i])
-          << what << " circuit sample " << i;
-    }
-    ASSERT_EQ(got.po_samples.size(), ref.po_samples.size()) << what;
-    for (std::size_t p = 0; p < ref.po_samples.size(); ++p) {
-      ASSERT_EQ(got.po_samples[p].size(), ref.po_samples[p].size()) << what;
-      for (std::size_t i = 0; i < ref.po_samples[p].size(); ++i) {
-        ASSERT_EQ(got.po_samples[p][i], ref.po_samples[p][i])
-            << what << " po " << p << " sample " << i;
-      }
-    }
-    ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-    for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-      for (std::size_t e = 0; e < 2; ++e) {
-        ASSERT_EQ(got.nets[n][e].count, ref.nets[n][e].count) << what;
-        ASSERT_EQ(got.nets[n][e].moments.mu, ref.nets[n][e].moments.mu)
-            << what << " net " << n;
-        ASSERT_EQ(got.nets[n][e].moments.sigma, ref.nets[n][e].moments.sigma)
-            << what << " net " << n;
-        ASSERT_EQ(got.nets[n][e].moments.gamma, ref.nets[n][e].moments.gamma)
-            << what << " net " << n;
-        ASSERT_EQ(got.nets[n][e].moments.kappa, ref.nets[n][e].moments.kappa)
-            << what << " net " << n;
-      }
-    }
-    for (std::size_t q = 0; q < 7; ++q) {
-      ASSERT_EQ(got.circuit_quantiles[q], ref.circuit_quantiles[q]) << what;
-      ASSERT_EQ(got.worst_po_quantiles[q], ref.worst_po_quantiles[q]) << what;
-    }
-    ASSERT_EQ(got.worst_po, ref.worst_po) << what;
-    ASSERT_EQ(got.total_quarantined, ref.total_quarantined) << what;
-  }
 
   static void expect_all_done(const dist::DistResult& res) {
     EXPECT_TRUE(res.complete);
@@ -320,7 +282,8 @@ TEST_F(DistTest, CleanOneWorkerMatchesSingleProcess) {
   EXPECT_EQ(res.workers_lost, 0u);
   EXPECT_EQ(res.shard_retries, 0u);
   EXPECT_EQ(res.mc.samples_done, 96u);
-  expect_identical(res.mc, golden_mc(96), "1 worker");
+  EXPECT_EQ(testfix::netmc_diff(res.mc, golden_mc(96)), "")
+      << "1 worker";
 }
 
 TEST_F(DistTest, CleanFourWorkersMatchesSingleProcess) {
@@ -331,7 +294,8 @@ TEST_F(DistTest, CleanFourWorkersMatchesSingleProcess) {
   expect_all_done(res);
   EXPECT_EQ(res.workers_spawned, 4u);
   ASSERT_EQ(res.shards.size(), 8u);
-  expect_identical(res.mc, golden_mc(96), "4 workers");
+  EXPECT_EQ(testfix::netmc_diff(res.mc, golden_mc(96)), "")
+      << "4 workers";
 }
 
 TEST_F(DistTest, ShardCountClampsToAccumulationBlocks) {
@@ -341,7 +305,8 @@ TEST_F(DistTest, ShardCountClampsToAccumulationBlocks) {
   const dist::DistResult res = dist::run_coordinator(opt);
   expect_all_done(res);
   EXPECT_EQ(res.shards.size(), 8u);
-  expect_identical(res.mc, golden_mc(8), "clamped shards");
+  EXPECT_EQ(testfix::netmc_diff(res.mc, golden_mc(8)), "")
+      << "clamped shards";
 }
 
 TEST_F(DistTest, SigkilledWorkerMidShardResumesByteIdentical) {
@@ -357,7 +322,8 @@ TEST_F(DistTest, SigkilledWorkerMidShardResumesByteIdentical) {
   EXPECT_GE(res.workers_spawned, 2u);
   EXPECT_EQ(res.shards[0].attempts, 2);
   EXPECT_FALSE(res.diagnostics.empty());
-  expect_identical(res.mc, golden_mc(96), "SIGKILL mid-shard");
+  EXPECT_EQ(testfix::netmc_diff(res.mc, golden_mc(96)), "")
+      << "SIGKILL mid-shard";
 }
 
 TEST_F(DistTest, HungWorkerReclaimedByShardDeadline) {
@@ -371,7 +337,8 @@ TEST_F(DistTest, HungWorkerReclaimedByShardDeadline) {
   expect_all_done(res);
   EXPECT_GE(res.workers_lost, 1u);
   EXPECT_GE(res.shard_retries, 1u);
-  expect_identical(res.mc, golden_mc(96), "hang past deadline");
+  EXPECT_EQ(testfix::netmc_diff(res.mc, golden_mc(96)), "")
+      << "hang past deadline";
 }
 
 TEST_F(DistTest, SilentWorkerReclaimedByHeartbeatWatchdog) {
@@ -387,7 +354,8 @@ TEST_F(DistTest, SilentWorkerReclaimedByHeartbeatWatchdog) {
   expect_all_done(res);
   EXPECT_GE(res.workers_lost, 1u);
   EXPECT_LT(res.runtime_seconds, 15.0);  // watchdog, not the 30 s deadline
-  expect_identical(res.mc, golden_mc(96), "silent worker");
+  EXPECT_EQ(testfix::netmc_diff(res.mc, golden_mc(96)), "")
+      << "silent worker";
 }
 
 TEST_F(DistTest, TornShardCheckpointRetriesByteIdentical) {
@@ -401,7 +369,8 @@ TEST_F(DistTest, TornShardCheckpointRetriesByteIdentical) {
   expect_all_done(res);
   EXPECT_GE(res.shard_retries, 1u);
   EXPECT_FALSE(res.diagnostics.empty());
-  expect_identical(res.mc, golden_mc(96), "torn checkpoint");
+  EXPECT_EQ(testfix::netmc_diff(res.mc, golden_mc(96)), "")
+      << "torn checkpoint";
 }
 
 TEST_F(DistTest, SpawnFailureConsumesBudgetAndRecovers) {
@@ -413,7 +382,8 @@ TEST_F(DistTest, SpawnFailureConsumesBudgetAndRecovers) {
   const dist::DistResult res = dist::run_coordinator(opt);
   expect_all_done(res);
   EXPECT_EQ(res.spawn_failures, 1u);
-  expect_identical(res.mc, golden_mc(96), "spawn failure");
+  EXPECT_EQ(testfix::netmc_diff(res.mc, golden_mc(96)), "")
+      << "spawn failure";
 }
 
 TEST_F(DistTest, RetryExhaustionYieldsDiagnosedPartial) {

@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "serve/service.hpp"
 #include "netlist/designgen.hpp"
 #include "netlist/flatgraph.hpp"
+#include "same_bits.hpp"
 #include "sta/annotate.hpp"
 #include "sta/engine.hpp"
 #include "sta/netmc.hpp"
@@ -164,44 +164,6 @@ class FaultNetMcTest : public ::testing::Test {
     return ::testing::TempDir() + "nsdc_" + name;
   }
 
-  /// Byte-level equivalence of everything a resumed run must reproduce.
-  static void expect_identical(const NetlistMonteCarlo::Result& got,
-                               const NetlistMonteCarlo::Result& ref,
-                               const std::string& what) {
-    ASSERT_EQ(got.circuit_samples.size(), ref.circuit_samples.size()) << what;
-    for (std::size_t i = 0; i < ref.circuit_samples.size(); ++i) {
-      ASSERT_EQ(got.circuit_samples[i], ref.circuit_samples[i])
-          << what << " circuit sample " << i;
-    }
-    ASSERT_EQ(got.po_samples.size(), ref.po_samples.size()) << what;
-    for (std::size_t p = 0; p < ref.po_samples.size(); ++p) {
-      for (std::size_t i = 0; i < ref.po_samples[p].size(); ++i) {
-        ASSERT_EQ(got.po_samples[p][i], ref.po_samples[p][i])
-            << what << " po " << p << " sample " << i;
-      }
-    }
-    ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-    for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-      for (std::size_t e = 0; e < 2; ++e) {
-        ASSERT_EQ(got.nets[n][e].count, ref.nets[n][e].count) << what;
-        ASSERT_EQ(got.nets[n][e].moments.mu, ref.nets[n][e].moments.mu)
-            << what << " net " << n;
-        ASSERT_EQ(got.nets[n][e].moments.sigma, ref.nets[n][e].moments.sigma)
-            << what << " net " << n;
-        ASSERT_EQ(got.nets[n][e].moments.gamma, ref.nets[n][e].moments.gamma)
-            << what << " net " << n;
-        ASSERT_EQ(got.nets[n][e].moments.kappa, ref.nets[n][e].moments.kappa)
-            << what << " net " << n;
-      }
-    }
-    for (std::size_t q = 0; q < 7; ++q) {
-      ASSERT_EQ(got.circuit_quantiles[q], ref.circuit_quantiles[q]) << what;
-      ASSERT_EQ(got.worst_po_quantiles[q], ref.worst_po_quantiles[q]) << what;
-    }
-    ASSERT_EQ(got.worst_po, ref.worst_po) << what;
-    ASSERT_EQ(got.total_quarantined, ref.total_quarantined) << what;
-  }
-
   CharLib charlib;
   CellLibrary cells;
   NSigmaCellModel model;
@@ -337,24 +299,6 @@ class FaultStaTest : public ::testing::Test {
     return StaEngine(model, tech, cfg).run(netlist, parasitics);
   }
 
-  static void expect_identical(const StaEngine::Result& got,
-                               const StaEngine::Result& ref,
-                               const std::string& what) {
-    ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-    EXPECT_EQ(got.max_arrival, ref.max_arrival) << what;
-    EXPECT_EQ(got.critical_net, ref.critical_net) << what;
-    for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-      ASSERT_EQ(std::memcmp(&got.nets[n].arrival, &ref.nets[n].arrival,
-                            sizeof(ref.nets[n].arrival)),
-                0)
-          << what << ": net " << n;
-      ASSERT_EQ(std::memcmp(&got.nets[n].slew, &ref.nets[n].slew,
-                            sizeof(ref.nets[n].slew)),
-                0)
-          << what << ": net " << n;
-    }
-  }
-
   CharLib charlib;
   CellLibrary cells;
   NSigmaCellModel model;
@@ -391,7 +335,7 @@ TEST_F(FaultStaTest, CleanRunAfterFaultIsByteIdentical) {
     install_fault_plan(FaultPlan::parse("sta.level@50=throw"));
     EXPECT_THROW(run(grain), FaultInjectedError) << what;
     clear_fault_plan();
-    expect_identical(run(grain), ref, what);
+    EXPECT_EQ(testfix::sta_diff(run(grain), ref), "") << what;
   }
 }
 
@@ -457,8 +401,8 @@ TEST_F(FaultNetMcTest, KillResumeByteIdenticalAtAnyThreadCount) {
     opt.resume = true;
     const auto resumed = run_at(threads, 96, opt);
     EXPECT_GT(resumed.blocks_resumed, 0u);
-    expect_identical(resumed, uninterrupted,
-                     "resume@" + std::to_string(threads) + " threads");
+    EXPECT_EQ(testfix::netmc_diff(resumed, uninterrupted), "")
+        << "resume@" << threads << " threads";
     std::remove(path.c_str());
   }
 }
@@ -487,7 +431,8 @@ TEST_F(FaultNetMcTest, TruncatedCheckpointRecoversPrefixAndStaysIdentical) {
   // Resuming over the damaged file still reproduces the uninterrupted run.
   opt.resume = true;
   const auto resumed = run_at(1, 96, opt);
-  expect_identical(resumed, uninterrupted, "resume over truncated checkpoint");
+  EXPECT_EQ(testfix::netmc_diff(resumed, uninterrupted), "")
+      << "resume over truncated checkpoint";
   std::remove(path.c_str());
 }
 
@@ -506,7 +451,8 @@ TEST_F(FaultNetMcTest, MismatchedCheckpointDegradesToFreshRun) {
     if (d.rule == "netmc.checkpoint") saw_mismatch_diag = true;
   }
   EXPECT_TRUE(saw_mismatch_diag);
-  expect_identical(other, run_at(1, 96), "fresh run after mismatch");
+  EXPECT_EQ(testfix::netmc_diff(other, run_at(1, 96)), "")
+      << "fresh run after mismatch";
   std::remove(path.c_str());
 }
 
@@ -521,7 +467,8 @@ TEST_F(FaultNetMcTest, MissingCheckpointDegradesToFreshRunWithDiagnostic) {
     if (d.rule == "netmc.checkpoint") saw_diag = true;
   }
   EXPECT_TRUE(saw_diag);
-  expect_identical(result, run_at(1, 64), "fresh run, missing checkpoint");
+  EXPECT_EQ(testfix::netmc_diff(result, run_at(1, 64)), "")
+      << "fresh run, missing checkpoint";
   std::remove(opt.checkpoint_path.c_str());
 }
 

@@ -37,6 +37,7 @@
 #include "sta/netmc.hpp"
 #include "sta/ssta_analytic.hpp"
 #include "reference_sta.hpp"
+#include "same_bits.hpp"
 
 namespace nsdc {
 namespace {
@@ -103,35 +104,6 @@ const std::vector<std::pair<const char*, BuildFn>>& design_matrix() {
 /// Bitwise equality of two doubles (distinguishes -0.0 and NaN payloads).
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-/// Byte-level equality of everything STA consumers read from a Result.
-void expect_sta_identical(const StaEngine::Result& got,
-                          const StaEngine::Result& ref,
-                          const std::string& what) {
-  ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-  EXPECT_TRUE(same_bits(got.max_arrival, ref.max_arrival)) << what;
-  EXPECT_EQ(got.critical_net, ref.critical_net) << what;
-  EXPECT_EQ(got.critical_edge, ref.critical_edge) << what;
-  for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-    const auto& g = got.nets[n];
-    const auto& r = ref.nets[n];
-    ASSERT_TRUE(std::memcmp(g.arrival.data(), r.arrival.data(),
-                            sizeof(g.arrival)) == 0 &&
-                std::memcmp(g.slew.data(), r.slew.data(), sizeof(g.slew)) ==
-                    0 &&
-                g.from_pin == r.from_pin && g.reachable == r.reachable &&
-                same_bits(got.net_load[n], ref.net_load[n]))
-        << what << ": net " << n << " diverged";
-  }
-}
-
-void expect_moments_identical(const Moments& a, const Moments& b,
-                              const std::string& what) {
-  EXPECT_EQ(a.mu, b.mu) << what;
-  EXPECT_EQ(a.sigma, b.sigma) << what;
-  EXPECT_EQ(a.gamma, b.gamma) << what;
-  EXPECT_EQ(a.kappa, b.kappa) << what;
 }
 
 // ------------------------------------------------ compile round-trip
@@ -337,7 +309,7 @@ TEST(FlatGraphIdentity, StaEngineMatchesKernelReferenceAt1And4Threads) {
           testfix::reference_sta_run(fx.nl, fx.spef, fx.model, fx.tech, cfg);
       const std::string what =
           std::string(name) + " @" + std::to_string(threads) + "t";
-      expect_sta_identical(got, ref, what);
+      ASSERT_EQ(testfix::sta_diff(got, ref), "") << what;
       for (std::size_t n = 0; n < ref.nets.size(); ++n) {
         ASSERT_EQ(got.annotated[n].num_nodes(), ref.annotated[n].num_nodes())
             << what << ": net " << n;
@@ -372,9 +344,8 @@ TEST(FlatGraphIdentity, DeepNarrowMatchesKernelReferenceAtEveryLaneAndGrain) {
       StaConfig cfg = exec_config(lanes);
       cfg.exec.grain = grain;
       const StaEngine engine(fx.model, fx.tech, cfg);
-      expect_sta_identical(engine.run(fx.nl, fx.spef), ref,
-                           "deep-narrow @" + std::to_string(lanes) +
-                               "t grain " + std::to_string(grain));
+      EXPECT_EQ(testfix::sta_diff(engine.run(fx.nl, fx.spef), ref), "")
+          << "deep-narrow @" << lanes << "t grain " << grain;
     }
   }
 }
@@ -496,18 +467,8 @@ TEST(FlatGraphGolden, NetMcC432MatchesGoldenAt1And4Threads) {
   cfg.threads = 1;
   const auto ref = mc.run(fx.nl, fx.spef, cfg);
   cfg.threads = 4;
-  const auto got = mc.run(fx.nl, fx.spef, cfg);
-  ASSERT_EQ(got.nets.size(), ref.nets.size());
-  for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-    for (std::size_t e = 0; e < 2; ++e) {
-      EXPECT_EQ(got.nets[n][e].count, ref.nets[n][e].count) << n;
-      expect_moments_identical(got.nets[n][e].moments, ref.nets[n][e].moments,
-                               "netmc 1 vs 4 lanes, net " + std::to_string(n));
-    }
-  }
-  ASSERT_EQ(got.po_nets, ref.po_nets);
-  EXPECT_EQ(got.po_samples, ref.po_samples);
-  EXPECT_EQ(got.circuit_samples, ref.circuit_samples);
+  EXPECT_EQ(testfix::netmc_diff(mc.run(fx.nl, fx.spef, cfg), ref), "")
+      << "netmc 1 vs 4 lanes";
   EXPECT_EQ(ref.total_quarantined, 0u);
 
   std::vector<std::pair<std::string, std::vector<double>>> rows;
@@ -530,16 +491,7 @@ TEST(FlatGraphGolden, AnalyticSstaC432MatchesGoldenAt1And4Threads) {
       AnalyticSsta(fx.model, fx.wire_model, fx.tech, opt1).run(fx.nl, fx.spef);
   const auto got =
       AnalyticSsta(fx.model, fx.wire_model, fx.tech, opt4).run(fx.nl, fx.spef);
-  ASSERT_EQ(got.nets.size(), ref.nets.size());
-  for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-    for (std::size_t e = 0; e < 2; ++e) {
-      EXPECT_EQ(got.nets[n][e].reachable, ref.nets[n][e].reachable) << n;
-      expect_moments_identical(got.nets[n][e].moments, ref.nets[n][e].moments,
-                               "ssta 1 vs 4 lanes, net " + std::to_string(n));
-    }
-  }
-  ASSERT_EQ(got.po_nets, ref.po_nets);
-  EXPECT_EQ(got.po_quantiles, ref.po_quantiles);
+  EXPECT_EQ(testfix::ssta_diff(got, ref), "") << "ssta 1 vs 4 lanes";
 
   std::vector<std::pair<std::string, std::vector<double>>> rows;
   for (std::size_t p = 0; p < ref.po_nets.size(); ++p) {

@@ -6,9 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "netlist/designgen.hpp"
+#include "same_bits.hpp"
 #include "sta/annotate.hpp"
 #include "synthetic_charlib.hpp"
 #include "util/rng.hpp"
@@ -40,30 +39,6 @@ class IncrementalStaTest : public ::testing::Test {
   NSigmaCellModel model;
   TechParams tech;
 };
-
-/// Byte-level equality of everything STA consumers read from a Result.
-void expect_results_identical(const StaEngine::Result& got,
-                              const StaEngine::Result& ref,
-                              const std::string& what) {
-  ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-  ASSERT_EQ(got.net_load.size(), ref.net_load.size()) << what;
-  EXPECT_EQ(got.max_arrival, ref.max_arrival) << what;
-  EXPECT_EQ(got.critical_net, ref.critical_net) << what;
-  EXPECT_EQ(got.critical_edge, ref.critical_edge) << what;
-  for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-    const auto& g = got.nets[n];
-    const auto& r = ref.nets[n];
-    ASSERT_TRUE(std::memcmp(g.arrival.data(), r.arrival.data(),
-                            sizeof(g.arrival)) == 0 &&
-                std::memcmp(g.slew.data(), r.slew.data(), sizeof(g.slew)) ==
-                    0 &&
-                g.from_pin == r.from_pin && g.reachable == r.reachable &&
-                got.net_load[n] == ref.net_load[n])
-        << what << ": net " << n << " diverged (arrival " << g.arrival[0]
-        << "/" << g.arrival[1] << " vs " << r.arrival[0] << "/" << r.arrival[1]
-        << ")";
-  }
-}
 
 /// Random retype edit: a random cell to a random strength of its function.
 void random_retype(GateNetlist& nl, const CellLibrary& lib, Rng& rng) {
@@ -182,11 +157,10 @@ void run_equivalence(const GateNetlist& base, const CellLibrary& lib,
     const auto& got4 = inc4.update();
     EXPECT_FALSE(inc1.last_stats().full_rerun) << "edit " << e;
     recomputed += inc1.last_stats().cells_recomputed;
-    expect_results_identical(got1, full1.run(nl, parasitics),
-                             "edit " + std::to_string(e) + " (1 lane)");
-    expect_results_identical(got4, full4.run(nl, parasitics),
-                             "edit " + std::to_string(e) + " (4 lanes)");
-    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_EQ(testfix::sta_diff(got1, full1.run(nl, parasitics)), "")
+        << "edit " << e << " (1 lane)";
+    ASSERT_EQ(testfix::sta_diff(got4, full4.run(nl, parasitics)), "")
+        << "edit " << e << " (4 lanes)";
   }
   // The point of the exercise: total incremental work must be far below
   // one full propagation per edit.
@@ -266,7 +240,8 @@ TEST_F(IncrementalStaTest, ConvergenceCutStopsUnchangedCone) {
   EXPECT_FALSE(inc.last_stats().full_rerun);
   EXPECT_LE(inc.last_stats().cells_recomputed, 6u);
   const StaEngine engine(model, tech);
-  expect_results_identical(inc.result(), engine.run(nl, empty), "tail edit");
+  EXPECT_EQ(testfix::sta_diff(inc.result(), engine.run(nl, empty)), "")
+      << "tail edit";
 }
 
 TEST_F(IncrementalStaTest, OutNetMoveMatchesFullRun) {
@@ -293,13 +268,15 @@ TEST_F(IncrementalStaTest, OutNetMoveMatchesFullRun) {
   EXPECT_TRUE(nl.invariants_ok());
   inc.update();
   EXPECT_FALSE(inc.last_stats().full_rerun);
-  expect_results_identical(inc.result(), engine.run(nl, empty), "move");
+  EXPECT_EQ(testfix::sta_diff(inc.result(), engine.run(nl, empty)), "")
+      << "move";
   EXPECT_FALSE(inc.result().nets[static_cast<std::size_t>(y)].reachable);
 
   nl.set_cell_out_net(u1, y);  // and back
   inc.update();
   EXPECT_FALSE(inc.last_stats().full_rerun);
-  expect_results_identical(inc.result(), engine.run(nl, empty), "move back");
+  EXPECT_EQ(testfix::sta_diff(inc.result(), engine.run(nl, empty)), "")
+      << "move back";
 }
 
 TEST_F(IncrementalStaTest, ParasiticInvalidationReannotates) {
@@ -324,8 +301,8 @@ TEST_F(IncrementalStaTest, ParasiticInvalidationReannotates) {
   EXPECT_FALSE(inc.last_stats().full_rerun);
   EXPECT_EQ(inc.last_stats().nets_reannotated, 1u);
   const StaEngine engine(model, tech);
-  expect_results_identical(inc.result(), engine.run(nl, parasitics),
-                           "reannotate");
+  EXPECT_EQ(testfix::sta_diff(inc.result(), engine.run(nl, parasitics)), "")
+      << "reannotate";
 }
 
 TEST_F(IncrementalStaTest, GenerationTracksStaleness) {

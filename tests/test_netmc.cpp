@@ -13,11 +13,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crafted_netlists.hpp"
@@ -25,8 +27,10 @@
 #include "netlist/benchio.hpp"
 #include "netlist/designgen.hpp"
 #include "reference_netmc.hpp"
+#include "same_bits.hpp"
 #include "sta/annotate.hpp"
 #include "sta/engine.hpp"
+#include "sta/ssta_analytic.hpp"
 #include "sta/statarcs.hpp"
 #include "synthetic_charlib.hpp"
 #include "util/faultinject.hpp"
@@ -62,40 +66,6 @@ class NetMcTest : public ::testing::Test {
     return mc.run(netlist, parasitics, cfg);
   }
 
-  static void expect_identical(const NetlistMonteCarlo::Result& got,
-                               const NetlistMonteCarlo::Result& ref,
-                               const std::string& what) {
-    ASSERT_EQ(got.circuit_samples.size(), ref.circuit_samples.size()) << what;
-    for (std::size_t i = 0; i < ref.circuit_samples.size(); ++i) {
-      ASSERT_EQ(got.circuit_samples[i], ref.circuit_samples[i])
-          << what << " sample " << i;
-    }
-    ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-    for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-      for (std::size_t e = 0; e < 2; ++e) {
-        ASSERT_EQ(got.nets[n][e].count, ref.nets[n][e].count) << what;
-        // Bit-identical streamed moments, not approximately equal: the
-        // block merge tree must not depend on the schedule.
-        ASSERT_EQ(got.nets[n][e].moments.mu, ref.nets[n][e].moments.mu)
-            << what << " net " << n;
-        ASSERT_EQ(got.nets[n][e].moments.sigma, ref.nets[n][e].moments.sigma)
-            << what << " net " << n;
-        ASSERT_EQ(got.nets[n][e].moments.gamma, ref.nets[n][e].moments.gamma)
-            << what << " net " << n;
-        ASSERT_EQ(got.nets[n][e].moments.kappa, ref.nets[n][e].moments.kappa)
-            << what << " net " << n;
-      }
-    }
-    ASSERT_EQ(got.worst_po, ref.worst_po) << what;
-    for (int lv = 0; lv < 7; ++lv) {
-      const auto l = static_cast<std::size_t>(lv);
-      ASSERT_EQ(got.worst_po_quantiles[l], ref.worst_po_quantiles[l])
-          << what << " level " << lv;
-      ASSERT_EQ(got.circuit_quantiles[l], ref.circuit_quantiles[l])
-          << what << " level " << lv;
-    }
-  }
-
   CharLib charlib;
   CellLibrary cells;
   NSigmaCellModel model;
@@ -108,8 +78,10 @@ class NetMcTest : public ::testing::Test {
 TEST_F(NetMcTest, BitIdenticalAcrossThreadCounts) {
   ASSERT_GE(netlist.num_cells(), 200u);
   const auto ref = run_at(1);
+  // Bit-identical streamed moments, not approximately equal: the block
+  // merge tree must not depend on the schedule.
   for (unsigned t : {2u, 7u, 16u}) {
-    expect_identical(run_at(t), ref, std::to_string(t) + " threads");
+    EXPECT_EQ(testfix::netmc_diff(run_at(t), ref), "") << t << " threads";
   }
 }
 
@@ -118,13 +90,13 @@ TEST_F(NetMcTest, BitIdenticalAcrossGrainSettings) {
   // Explicit ExecContext::grain overrides, at several thread counts.
   for (std::size_t g : {std::size_t{1}, std::size_t{3}, std::size_t{16},
                         std::size_t{1000}}) {
-    expect_identical(run_at(7, g), ref, "grain " + std::to_string(g));
+    EXPECT_EQ(testfix::netmc_diff(run_at(7, g), ref), "") << "grain " << g;
   }
   // The NSDC_GRAIN env override must reschedule, never change results.
   ::setenv("NSDC_GRAIN", "5", 1);
   const auto env_run = run_at(4);
   ::unsetenv("NSDC_GRAIN");
-  expect_identical(env_run, ref, "NSDC_GRAIN=5");
+  EXPECT_EQ(testfix::netmc_diff(env_run, ref), "") << "NSDC_GRAIN=5";
 }
 
 TEST_F(NetMcTest, GrainOverridePrecedence) {
@@ -324,19 +296,6 @@ class NetMcReference : public ::testing::Test {
 
   ~NetMcReference() override { clear_fault_plan(); }
 
-  /// Byte equality of two vectors of trivially copyable values.
-  template <class T>
-  static bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
-    return a.size() == b.size() &&
-           (a.empty() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-  }
-
-  template <class T>
-  static bool same_bytes(const T& a, const T& b) {
-    return std::memcmp(&a, &b, sizeof(T)) == 0;
-  }
-
   /// Runs the engine at `lanes` and the oracle on the same frozen system
   /// with `samples` samples, then memcmps the two.
   void check(const GateNetlist& nl, const NSigmaCellModel& cell_model,
@@ -355,36 +314,7 @@ class NetMcReference : public ::testing::Test {
         sys, nl.num_nets(), nl.num_cells(), opt, cfg.seed,
         static_cast<std::size_t>(samples), opt.block_begin, opt.block_end);
 
-    ASSERT_EQ(got.nets.size(), want.nets.size()) << what;
-    for (std::size_t n = 0; n < want.nets.size(); ++n) {
-      for (std::size_t e = 0; e < 2; ++e) {
-        ASSERT_EQ(got.nets[n][e].count, want.nets[n][e].count)
-            << what << " net " << n << " edge " << e;
-        ASSERT_TRUE(same_bytes(got.nets[n][e].moments, want.nets[n][e].moments))
-            << what << " net " << n << " edge " << e;
-      }
-    }
-    ASSERT_TRUE(same_bytes(got.quarantined, want.quarantined)) << what;
-    ASSERT_EQ(got.total_quarantined, want.total_quarantined) << what;
-    ASSERT_EQ(got.po_nets, want.po_nets) << what;
-    ASSERT_EQ(got.po_samples.size(), want.po_samples.size()) << what;
-    for (std::size_t p = 0; p < want.po_samples.size(); ++p) {
-      ASSERT_TRUE(same_bytes(got.po_samples[p], want.po_samples[p]))
-          << what << " po " << p;
-    }
-    ASSERT_TRUE(same_bytes(got.circuit_samples, want.circuit_samples)) << what;
-    ASSERT_EQ(got.samples_done, want.samples_done) << what;
-    // The serial endpoint pass of the oracle against the parallel one.
-    ASSERT_TRUE(same_bytes(got.po_moments, want.po_moments)) << what;
-    ASSERT_TRUE(same_bytes(got.po_quantiles, want.po_quantiles)) << what;
-    ASSERT_TRUE(same_bytes(got.circuit_moments, want.circuit_moments)) << what;
-    ASSERT_TRUE(same_bytes(got.circuit_quantiles, want.circuit_quantiles))
-        << what;
-    ASSERT_EQ(got.worst_po, want.worst_po) << what;
-    ASSERT_TRUE(same_bytes(got.worst_po_moments, want.worst_po_moments))
-        << what;
-    ASSERT_TRUE(same_bytes(got.worst_po_quantiles, want.worst_po_quantiles))
-        << what;
+    ASSERT_EQ(testfix::netmc_diff(got, want), "") << what;
   }
 
   GateNetlist c17() const {
@@ -466,6 +396,110 @@ TEST_F(NetMcReference, BlockSubsetRunMatches) {
   check(multiplier(), model, 2000, opt, 4, "mul6 blocks [5, 12)");
   check(c17(), model, 2000, opt, 1, "c17 blocks [5, 12)");
 }
+
+// ------------------------------------------------- shared comparators --
+// same_bits.hpp on real c17 results: a copy compares "", and one flipped
+// bit in any covered field is named with its index path.
+
+/// Flips the lowest bit of `v`'s first byte (a bool stays a valid bool).
+template <class T>
+void flip(T& v) {
+  *reinterpret_cast<unsigned char*>(&v) ^= 1u;
+}
+
+/// A case that flips one bit of `r.path` and expects the diff "path".
+#define NSDC_FLIP_CASE(R, path) \
+  std::pair<std::string, void (*)(R&)> { #path, [](R& r) { flip(r.path); } }
+
+class SameBits : public NetMcReference {
+ protected:
+  template <class R, class Diff>
+  static void expect_each_field_named(
+      const R& ref, Diff diff,
+      std::initializer_list<std::pair<std::string, void (*)(R&)>> cases) {
+    EXPECT_EQ(diff(R(ref), ref), "");
+    for (const auto& [path, mutate] : cases) {
+      R got = ref;
+      mutate(got);
+      EXPECT_EQ(diff(got, ref), path);
+    }
+  }
+};
+
+TEST_F(SameBits, StaDiffNamesEachField) {
+  using R = StaEngine::Result;
+  const GateNetlist nl = c17();
+  const R ref = StaEngine(model, tech).run(nl, generate_parasitics(nl, tech));
+  expect_each_field_named(ref, testfix::sta_diff,
+                          {NSDC_FLIP_CASE(R, nets[3].arrival[1]),
+                           NSDC_FLIP_CASE(R, nets[3].slew[0]),
+                           NSDC_FLIP_CASE(R, nets[3].from_pin[1]),
+                           NSDC_FLIP_CASE(R, nets[3].reachable),
+                           NSDC_FLIP_CASE(R, net_load[3]),
+                           NSDC_FLIP_CASE(R, max_arrival),
+                           NSDC_FLIP_CASE(R, critical_net),
+                           NSDC_FLIP_CASE(R, critical_edge)});
+  // Bit patterns, not values: +0 and -0 differ, one NaN equals itself.
+  R a = ref, b = ref;
+  a.max_arrival = 0.0;
+  b.max_arrival = -0.0;
+  EXPECT_EQ(testfix::sta_diff(a, b), "max_arrival");
+  a.max_arrival = b.max_arrival = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(testfix::sta_diff(a, b), "");
+}
+
+TEST_F(SameBits, NetMcDiffNamesEachField) {
+  using R = NetlistMonteCarlo::Result;
+  const GateNetlist nl = c17();
+  McConfig cfg;
+  cfg.samples = 64;
+  const R ref = NetlistMonteCarlo(model, wire_model, tech)
+                    .run(nl, generate_parasitics(nl, tech), cfg);
+  expect_each_field_named(
+      ref, testfix::netmc_diff,
+      {NSDC_FLIP_CASE(R, nets[4][1].moments.mu),
+       NSDC_FLIP_CASE(R, nets[4][0].moments.sigma),
+       NSDC_FLIP_CASE(R, nets[4][1].moments.gamma),
+       NSDC_FLIP_CASE(R, nets[4][0].moments.kappa),
+       NSDC_FLIP_CASE(R, nets[4][1].count),
+       NSDC_FLIP_CASE(R, quarantined[4][1]),
+       NSDC_FLIP_CASE(R, po_nets[1]),
+       NSDC_FLIP_CASE(R, po_samples[1][5]),
+       NSDC_FLIP_CASE(R, po_moments[1].sigma),
+       NSDC_FLIP_CASE(R, po_quantiles[1][6]),
+       NSDC_FLIP_CASE(R, circuit_samples[5]),
+       NSDC_FLIP_CASE(R, circuit_moments.mu),
+       NSDC_FLIP_CASE(R, circuit_quantiles[0]),
+       NSDC_FLIP_CASE(R, worst_po),
+       NSDC_FLIP_CASE(R, worst_po_moments.kappa),
+       NSDC_FLIP_CASE(R, worst_po_quantiles[3]),
+       NSDC_FLIP_CASE(R, total_quarantined),
+       NSDC_FLIP_CASE(R, samples_done),
+       {"circuit_samples.size()", [](R& r) { r.circuit_samples.pop_back(); }}});
+}
+
+TEST_F(SameBits, SstaDiffNamesEachField) {
+  using R = AnalyticSsta::Result;
+  const GateNetlist nl = c17();
+  const R ref = AnalyticSsta(model, wire_model, tech)
+                    .run(nl, generate_parasitics(nl, tech));
+  expect_each_field_named(ref, testfix::ssta_diff,
+                          {NSDC_FLIP_CASE(R, nets[4][1].moments.mu),
+                           NSDC_FLIP_CASE(R, nets[4][0].moments.gamma),
+                           NSDC_FLIP_CASE(R, nets[4][1].reachable),
+                           NSDC_FLIP_CASE(R, po_nets[1]),
+                           NSDC_FLIP_CASE(R, po_moments[0].sigma),
+                           NSDC_FLIP_CASE(R, po_quantiles[1][2]),
+                           NSDC_FLIP_CASE(R, circuit_moments.kappa),
+                           NSDC_FLIP_CASE(R, circuit_quantiles[6]),
+                           NSDC_FLIP_CASE(R, worst_po),
+                           NSDC_FLIP_CASE(R, worst_po_moments.mu),
+                           NSDC_FLIP_CASE(R, worst_po_quantiles[4]),
+                           NSDC_FLIP_CASE(R, levels),
+                           NSDC_FLIP_CASE(R, peak_live_locals)});
+}
+
+#undef NSDC_FLIP_CASE
 
 }  // namespace
 }  // namespace nsdc

@@ -110,35 +110,6 @@ TEST(SigmaQuantiles, MonotoneNondecreasing) {
   for (std::size_t i = 1; i < 7; ++i) EXPECT_LE(q[i - 1], q[i]);
 }
 
-TEST(IncompleteBeta, KnownValues) {
-  // I_x(1,1) = x; I_x(2,2) = x^2 (3 - 2x).
-  for (double x : {0.1, 0.5, 0.9}) {
-    EXPECT_NEAR(incomplete_beta(1.0, 1.0, x), x, 1e-12);
-    EXPECT_NEAR(incomplete_beta(2.0, 2.0, x), x * x * (3.0 - 2.0 * x), 1e-12);
-  }
-  EXPECT_DOUBLE_EQ(incomplete_beta(3.0, 4.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(incomplete_beta(3.0, 4.0, 1.0), 1.0);
-  // Symmetry: I_x(a,b) = 1 - I_{1-x}(b,a).
-  EXPECT_NEAR(incomplete_beta(5.0, 2.0, 0.3),
-              1.0 - incomplete_beta(2.0, 5.0, 0.7), 1e-12);
-}
-
-TEST(HdQuantile, MedianMatchesType7OnSymmetricData) {
-  Rng rng(21);
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) xs.push_back(rng.normal(10.0, 2.0));
-  EXPECT_NEAR(hd_quantile(xs, 0.5), quantile(xs, 0.5), 0.05);
-}
-
-TEST(HdQuantile, SingleAndSmallSamples) {
-  const std::vector<double> one{3.0};
-  EXPECT_DOUBLE_EQ(hd_quantile(one, 0.2), 3.0);
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  const double q = hd_quantile(xs, 0.5);
-  EXPECT_GT(q, 1.5);
-  EXPECT_LT(q, 2.5);
-}
-
 TEST(PotQuantile, LowerMseAtExtremeTailOfSkewedData) {
   // The characterization workload: right-skewed lognormal-like delay
   // samples, a few hundred per condition. Across resamples the GPD tail
@@ -209,30 +180,6 @@ TEST(PotQuantile, SmoothedLevelsOrderedOnSkewedData) {
   // The upper tail of a lognormal must stretch beyond the Gaussian rule.
   const Moments m = compute_moments(xs);
   EXPECT_GT(q[6], m.mu + 2.2 * m.sigma);
-}
-
-TEST(HdQuantile, MonotoneInP) {
-  Rng rng(25);
-  std::vector<double> xs;
-  for (int i = 0; i < 800; ++i) xs.push_back(rng.uniform());
-  const auto s = sorted_copy(xs);
-  double prev = -1.0;
-  for (double p = 0.001; p < 1.0; p += 0.05) {
-    const double q = hd_quantile_sorted(s, p);
-    EXPECT_GE(q, prev);
-    prev = q;
-  }
-}
-
-TEST(HdQuantile, SigmaLevelsOrdered) {
-  Rng rng(27);
-  std::vector<double> xs;
-  for (int i = 0; i < 2000; ++i) xs.push_back(std::exp(rng.normal(0.0, 0.5)));
-  const auto q = sigma_quantiles_hd(xs);
-  for (int lv = 1; lv < 7; ++lv) {
-    EXPECT_LT(q[static_cast<std::size_t>(lv - 1)],
-              q[static_cast<std::size_t>(lv)]);
-  }
 }
 
 TEST(SortedCopy, Sorts) {

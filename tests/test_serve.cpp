@@ -15,7 +15,9 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -861,6 +863,39 @@ TEST(CliValidation, InvalidArgumentValuesExitThree) {
   EXPECT_EQ(run_tool(dir + "/nsdc_analyze --random 10 --zmax abc"), 3);
   // Unknown flags keep the distinct usage exit 2 in flow_smoke.
   EXPECT_EQ(run_tool(dir + "/flow_smoke --no-such-flag"), 2);
+  // A --spef file that cannot be opened is a usage error too.
+  const std::string c17 = std::string(NSDC_SOURCE_DIR) + "/data/c17.bench";
+  const std::string missing = ::testing::TempDir() + "nsdc_no_such.spef";
+  std::remove(missing.c_str());
+  for (const char* tool : {"/nsdc_lint", "/nsdc_analyze"}) {
+    EXPECT_EQ(run_tool(dir + tool + " --bench " + c17 + " --spef " + missing),
+              3)
+        << tool;
+  }
+}
+
+TEST(CliValidation, MalformedSpefLineIsReportedNotFatal) {
+  const std::string c17 = std::string(NSDC_SOURCE_DIR) + "/data/c17.bench";
+  const std::string spef = ::testing::TempDir() + "nsdc_bad_node.spef";
+  std::ofstream(spef) << "*SPEF nsdc-lite\n*DESIGN c17\n*D_NET 22\n*NODES\n"
+                         "0 -1 0 1e-15\n1 0 bad 1e-15\n*SINKS\n*END\n";
+  for (const char* tool : {"/nsdc_lint", "/nsdc_analyze"}) {
+    const std::string cmd = std::string(NSDC_TOOL_DIR) + tool + " --bench " +
+                            c17 + " --spef " + spef + " 2>/dev/null";
+    std::FILE* pipe = ::popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << tool;
+    std::string report;
+    char buf[4096];
+    std::size_t got = 0;
+    while ((got = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
+      report.append(buf, got);
+    }
+    const int rc = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(rc)) << tool;
+    EXPECT_LT(WEXITSTATUS(rc), 3) << tool;
+    EXPECT_NE(report.find("parse.spef"), std::string::npos) << tool;
+  }
+  std::remove(spef.c_str());
 }
 
 // --- Graceful shutdown ------------------------------------------------------

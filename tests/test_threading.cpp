@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -18,6 +17,7 @@
 
 #include "baselines/mc_reference.hpp"
 #include "netlist/designgen.hpp"
+#include "same_bits.hpp"
 #include "sta/annotate.hpp"
 #include "sta/engine.hpp"
 #include "sta/ssta_analytic.hpp"
@@ -331,23 +331,8 @@ TEST_F(InvarianceTest, StaEngineBitIdenticalAcrossThreadCounts) {
     for (unsigned t : {2u, 7u, default_threads()}) {
       const std::string what = std::to_string(t) + " threads, grain " +
                                std::to_string(grain);
-      const auto got = run_sta(t, grain);
-      ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-      EXPECT_EQ(got.max_arrival, ref.max_arrival) << what;
-      EXPECT_EQ(got.critical_net, ref.critical_net) << what;
-      EXPECT_EQ(got.critical_edge, ref.critical_edge) << what;
-      for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-        // Bit-identical, not approximately equal.
-        EXPECT_EQ(std::memcmp(&got.nets[n].arrival, &ref.nets[n].arrival,
-                              sizeof(ref.nets[n].arrival)),
-                  0)
-            << "net " << n << " at " << what;
-        EXPECT_EQ(std::memcmp(&got.nets[n].slew, &ref.nets[n].slew,
-                              sizeof(ref.nets[n].slew)),
-                  0)
-            << "net " << n << " at " << what;
-        EXPECT_EQ(got.net_load[n], ref.net_load[n]) << what;
-      }
+      // Bit-identical, not approximately equal.
+      EXPECT_EQ(testfix::sta_diff(run_sta(t, grain), ref), "") << what;
     }
   }
 }
@@ -365,22 +350,7 @@ TEST_F(InvarianceTest, StatisticalStaBitIdenticalAcrossThreadCounts) {
   };
   const auto ref = run_at(1);
   for (unsigned t : {2u, 7u}) {
-    const auto got = run_at(t);
-    ASSERT_EQ(got.nets.size(), ref.nets.size());
-    EXPECT_EQ(got.worst_po, ref.worst_po) << t << " threads";
-    EXPECT_EQ(got.worst_po_moments.mu, ref.worst_po_moments.mu)
-        << t << " threads";
-    EXPECT_EQ(got.worst_po_moments.sigma, ref.worst_po_moments.sigma)
-        << t << " threads";
-    for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-      for (std::size_t e = 0; e < 2; ++e) {
-        EXPECT_EQ(got.nets[n][e].reachable, ref.nets[n][e].reachable) << n;
-        EXPECT_EQ(got.nets[n][e].moments.mu, ref.nets[n][e].moments.mu) << n;
-        EXPECT_EQ(got.nets[n][e].moments.sigma,
-                  ref.nets[n][e].moments.sigma)
-            << n;
-      }
-    }
+    EXPECT_EQ(testfix::ssta_diff(run_at(t), ref), "") << t << " threads";
   }
 }
 

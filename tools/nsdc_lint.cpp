@@ -135,19 +135,11 @@ int tool_main(int argc, char** argv) {
 
   std::optional<ParasiticDb> spef;
   if (!spef_path.empty()) {
-    std::FILE* f = std::fopen(spef_path.c_str(), "rb");
-    if (f == nullptr) {
+    spef = ParasiticDb::load(spef_path, &parse_diags);
+    if (!spef) {
       std::fprintf(stderr, "nsdc_lint: cannot open %s\n", spef_path.c_str());
       return 3;
     }
-    std::string text;
-    char buf[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      text.append(buf, got);
-    }
-    std::fclose(f);
-    spef = ParasiticDb::from_spef(text, &parse_diags);
   } else if (gen_spef) {
     spef = generate_parasitics(*nl, tech);
   }

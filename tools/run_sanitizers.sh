@@ -11,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REGEX="Threading|ThreadPool|ParallelFor|Sta|NetMc|Netlist|GoldenSta|PathDelay|Lint|Spef|Bench|Incremental|Mutator|Fault|CancellationToken|Moments|Ssta|FlatGraph|Serve|Wire|Argparse|CliValidation|Dist|RetryPolicy|RcTree|DesignGen"
+REGEX="Threading|ThreadPool|ParallelFor|Sta|NetMc|Netlist|GoldenSta|PathDelay|Lint|Spef|Bench|Incremental|Mutator|Fault|CancellationToken|Moments|Ssta|FlatGraph|Serve|Wire|Argparse|CliValidation|Dist|RetryPolicy|RcTree|DesignGen|Quantile"
 SANS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -26,7 +26,7 @@ TARGETS=(test_util test_threading test_netlist test_sta test_netmc
          test_pathdelay test_golden_sta test_lint test_incremental
          test_spef test_benchio test_faultinject test_moments
          test_ssta_analytic test_analysis test_flatgraph test_serve
-         test_dist test_rctree test_designgen)
+         test_dist test_rctree test_designgen test_quantiles)
 
 for SAN in "${SANS[@]}"; do
   echo "=== ${SAN} ==="
