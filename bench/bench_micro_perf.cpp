@@ -814,7 +814,9 @@ std::string sweep_dist(const Inputs&, Record& rec) {
     opt.retry.base_delay_s = 0.01;
     opt.retry.max_delay_s = 0.05;
     opt.heartbeat_ms = 20;
-    return best_of(1, [&] { return dist::run_coordinator(opt); });
+    auto timed = best_of(1, [&] { return dist::run_coordinator(opt); });
+    std::filesystem::remove_all(opt.workdir);
+    return timed;
   };
   const auto merge_diff = [&](const dist::DistResult& res) {
     return res.complete ? testfix::netmc_diff(res.mc, local.result)

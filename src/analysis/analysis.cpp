@@ -2,13 +2,12 @@
 //
 // run_analysis computes the shared facts serially-deterministic (structure,
 // annotation, interval propagation, coverage, the opt-in cross-engine
-// gate), then fans the registered passes out over ExecContext exactly like
-// run_lint fans out rules: each pass writes only its own diagnostic slot
-// and reads only the const prep, so the merged report is byte-identical at
-// any thread count. Rendering never includes wall-clock values and uses
-// fixed "%.6g" picosecond formatting for the same reason.
+// gate), then fans the registered passes out over ExecContext through the
+// driver run_lint uses (run_checks): each pass writes only its own
+// diagnostic slot and reads only the const prep, so the merged report is
+// byte-identical at any thread count. Rendering never includes wall-clock
+// values and uses fixed "%.6g" picosecond formatting for the same reason.
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -37,44 +36,6 @@ std::string json_number_ps(double seconds) {
 }
 
 }  // namespace
-
-void AnalysisRegistry::add(AnalysisPass pass) {
-  if (find(pass.id) != nullptr) {
-    throw std::invalid_argument("AnalysisRegistry: duplicate pass id " +
-                                pass.id);
-  }
-  passes_.push_back(std::move(pass));
-}
-
-const AnalysisPass* AnalysisRegistry::find(const std::string& id) const {
-  for (const auto& p : passes_) {
-    if (p.id == id) return &p;
-  }
-  return nullptr;
-}
-
-const AnalysisRegistry& AnalysisRegistry::global() {
-  static const AnalysisRegistry registry = [] {
-    AnalysisRegistry r;
-    analysis_detail::register_builtin_passes(r);
-    return r;
-  }();
-  return registry;
-}
-
-int AnalysisReport::count(Severity s) const {
-  int n = 0;
-  for (const auto& d : diags_) {
-    if (d.severity == s) ++n;
-  }
-  return n;
-}
-
-void AnalysisReport::merge(std::vector<Diagnostic> extra) {
-  diags_.insert(diags_.end(), std::make_move_iterator(extra.begin()),
-                std::make_move_iterator(extra.end()));
-  sort_diagnostics(diags_);
-}
 
 std::string AnalysisReport::to_text() const {
   std::string out = "== nsdc_analyze: " + design_ + " ==\n";
@@ -131,7 +92,7 @@ std::string AnalysisReport::to_text() const {
          std::to_string(count(Severity::kError)) + " error(s), " +
          std::to_string(count(Severity::kWarn)) + " warning(s), " +
          std::to_string(count(Severity::kInfo)) + " info(s) from " +
-         std::to_string(passes_run_) + " pass(es)\n";
+         std::to_string(checks_run_) + " pass(es)\n";
   return out;
 }
 
@@ -143,7 +104,7 @@ std::string AnalysisReport::to_json() const {
          std::to_string(count(Severity::kError)) +
          ", \"warnings\": " + std::to_string(count(Severity::kWarn)) +
          ", \"infos\": " + std::to_string(count(Severity::kInfo)) +
-         ", \"passes_run\": " + std::to_string(passes_run_) + "},\n";
+         ", \"passes_run\": " + std::to_string(checks_run_) + "},\n";
 
   out += "  \"structure\": {\"ran\": ";
   out += structure_.ran ? "true" : "false";
@@ -199,15 +160,7 @@ std::string AnalysisReport::to_json() const {
          ", \"min_slack_hi_ps\": " + json_number_ps(verify_.min_slack_hi) +
          "},\n";
 
-  std::vector<Diagnostic> sorted = diags_;
-  sort_diagnostics_for_json(sorted);
-  out += "  \"diagnostics\": [";
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    out += i == 0 ? "\n    " : ",\n    ";
-    out += diagnostic_to_json(sorted[i]);
-  }
-  out += sorted.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  return out + json_diagnostics() + "}\n";
 }
 
 AnalysisReport run_analysis(const AnalysisInput& input,
@@ -267,36 +220,11 @@ AnalysisReport run_analysis(const AnalysisInput& input,
     prep.verify = verify_engines(input, options, *prep.intervals);
   }
 
-  // Enabled passes in registry order.
-  std::vector<const AnalysisPass*> enabled;
-  for (const auto& pass : registry.passes()) {
-    const bool disabled =
-        std::find(options.disabled_passes.begin(),
-                  options.disabled_passes.end(),
-                  pass.id) != options.disabled_passes.end();
-    if (!disabled) enabled.push_back(&pass);
-  }
-
-  std::vector<std::vector<Diagnostic>> per_pass(enabled.size());
-  options.exec.parallel_for(enabled.size(), [&](std::size_t i) {
-    try {
-      enabled[i]->check(input, prep, options, per_pass[i]);
-    } catch (const std::exception& e) {
-      per_pass[i].push_back({Severity::kError, "analysis.internal",
-                             "pass:" + enabled[i]->id,
-                             std::string("pass threw: ") + e.what(), "", 0});
-    }
-  });
-
   AnalysisReport report;
   report.design_ = nl.name();
-  report.passes_run_ = enabled.size();
-  for (auto& diags : per_pass) {
-    report.diags_.insert(report.diags_.end(),
-                         std::make_move_iterator(diags.begin()),
-                         std::make_move_iterator(diags.end()));
-  }
-  sort_diagnostics(report.diags_);
+  report.checks_run_ = run_checks(registry, options.disabled_passes,
+                                  options.exec, "analysis.internal", "pass",
+                                  report.diags_, input, prep, options);
 
   report.structure_.ran = true;
   report.structure_.sccs = prep.structure.cycles.size();

@@ -31,10 +31,10 @@
 //                            intervals, reporting violations as error
 //                            diagnostics.
 //
-// Passes fan out over ExecContext like lint rules and reuse the same
-// Diagnostic plumbing (util/diag); reports are byte-identical at any
-// thread count (per-slot writes, fixed fold orders, no wall-clock values
-// in the rendered output). Fault site "analyze.interval" (index = net id)
+// Passes fan out over ExecContext through the check core lint rules use
+// (util/checks.hpp, util/diag); reports are byte-identical at any thread
+// count (per-slot writes, fixed fold orders, no wall-clock values in the
+// rendered output). Fault site "analyze.interval" (index = net id)
 // lets NSDC_FAULTS poison a net's computed interval to prove the
 // verify-engines gate fires.
 
@@ -53,6 +53,7 @@
 #include "parasitics/spef.hpp"
 #include "pdk/cells.hpp"
 #include "sta/engine.hpp"
+#include "util/checks.hpp"
 #include "util/diag.hpp"
 #include "util/exec.hpp"
 
@@ -204,21 +205,14 @@ struct AnalysisPass {
       check;
 };
 
-/// Pluggable pass registry, patterned on LintRegistry. `global()` is
-/// preloaded with the built-in passes.
-class AnalysisRegistry {
- public:
-  void add(AnalysisPass pass);
-  const std::vector<AnalysisPass>& passes() const { return passes_; }
-  const AnalysisPass* find(const std::string& id) const;
+/// Pluggable pass registry. `global()` is preloaded with the built-in
+/// passes (passes.cpp).
+using AnalysisRegistry = CheckRegistry<AnalysisPass>;
 
-  static const AnalysisRegistry& global();
+/// Registers the built-in passes (called once by AnalysisRegistry::global).
+void register_builtins(AnalysisRegistry& registry);
 
- private:
-  std::vector<AnalysisPass> passes_;
-};
-
-class AnalysisReport {
+class AnalysisReport : public DiagnosticReport {
  public:
   struct IntervalSection {
     bool ran = false;
@@ -244,22 +238,10 @@ class AnalysisReport {
     double min_slack_lo = 0.0, min_slack_hi = 0.0;
   };
 
-  const std::vector<Diagnostic>& diagnostics() const { return diags_; }
-  std::size_t passes_run() const { return passes_run_; }
-  const std::string& design() const { return design_; }
   const IntervalSection& intervals() const { return intervals_; }
   const StructureSection& structure() const { return structure_; }
   const CoverageSection& coverage() const { return coverage_; }
   const VerifySection& verify() const { return verify_; }
-
-  int count(Severity s) const;
-  Severity max_severity() const { return nsdc::max_severity(diags_); }
-  /// Process exit status: 0 clean/info, 1 warnings, 2 errors.
-  int exit_code() const { return static_cast<int>(max_severity()); }
-
-  /// Appends extra diagnostics (e.g. parser output) and restores the
-  /// canonical sorted order.
-  void merge(std::vector<Diagnostic> extra);
 
   /// Human-readable report. Deterministic: no wall-clock values, fixed
   /// float formatting — byte-identical at any thread count.
@@ -272,9 +254,6 @@ class AnalysisReport {
   friend AnalysisReport run_analysis(const AnalysisInput&,
                                      const AnalysisOptions&,
                                      const AnalysisRegistry&);
-  std::string design_;
-  std::vector<Diagnostic> diags_;
-  std::size_t passes_run_ = 0;
   IntervalSection intervals_;
   StructureSection structure_;
   CoverageSection coverage_;
@@ -313,10 +292,5 @@ CoverageFacts compute_coverage(const AnalysisInput& input,
 VerifyFacts verify_engines(const AnalysisInput& input,
                            const AnalysisOptions& options,
                            const IntervalResult& intervals);
-
-namespace analysis_detail {
-/// Registers the built-in passes (called once by AnalysisRegistry::global).
-void register_builtin_passes(AnalysisRegistry& registry);
-}  // namespace analysis_detail
 
 }  // namespace nsdc

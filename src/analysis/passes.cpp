@@ -361,9 +361,7 @@ CoverageFacts compute_coverage(const AnalysisInput& input,
   return facts;
 }
 
-namespace analysis_detail {
-
-void register_builtin_passes(AnalysisRegistry& registry) {
+void register_builtins(AnalysisRegistry& registry) {
   registry.add(
       {"analysis.intervals",
        "certified per-net arrival/slew bounds via monotone interval "
@@ -540,7 +538,5 @@ void register_builtin_passes(AnalysisRegistry& registry) {
                     prep.verify.diagnostics.end());
        }});
 }
-
-}  // namespace analysis_detail
 
 }  // namespace nsdc

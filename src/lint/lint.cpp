@@ -1,46 +1,8 @@
 #include "lint/lint.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace nsdc {
-
-void LintRegistry::add(LintRule rule) {
-  if (find(rule.id) != nullptr) {
-    throw std::invalid_argument("LintRegistry: duplicate rule id " + rule.id);
-  }
-  rules_.push_back(std::move(rule));
-}
-
-const LintRule* LintRegistry::find(const std::string& id) const {
-  for (const auto& r : rules_) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
-}
-
-const LintRegistry& LintRegistry::global() {
-  static const LintRegistry registry = [] {
-    LintRegistry r;
-    lint_detail::register_builtin_rules(r);
-    return r;
-  }();
-  return registry;
-}
-
-int LintReport::count(Severity s) const {
-  int n = 0;
-  for (const auto& d : diags_) {
-    if (d.severity == s) ++n;
-  }
-  return n;
-}
-
-void LintReport::merge(std::vector<Diagnostic> extra) {
-  diags_.insert(diags_.end(), std::make_move_iterator(extra.begin()),
-                std::make_move_iterator(extra.end()));
-  sort_diagnostics(diags_);
-}
 
 std::string LintReport::to_text() const {
   std::string out;
@@ -51,7 +13,7 @@ std::string LintReport::to_text() const {
   out += "nsdc_lint: " + design_ + ": " + std::to_string(count(Severity::kError)) +
          " error(s), " + std::to_string(count(Severity::kWarn)) +
          " warning(s), " + std::to_string(count(Severity::kInfo)) +
-         " info(s) from " + std::to_string(rules_run_) + " rule(s)\n";
+         " info(s) from " + std::to_string(checks_run_) + " rule(s)\n";
   return out;
 }
 
@@ -64,16 +26,8 @@ std::string LintReport::to_json() const {
   out += "  \"summary\": {\"errors\": " + std::to_string(count(Severity::kError)) +
          ", \"warnings\": " + std::to_string(count(Severity::kWarn)) +
          ", \"infos\": " + std::to_string(count(Severity::kInfo)) +
-         ", \"rules_run\": " + std::to_string(rules_run_) + "},\n";
-  std::vector<Diagnostic> sorted = diags_;
-  sort_diagnostics_for_json(sorted);
-  out += "  \"diagnostics\": [";
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    out += i == 0 ? "\n    " : ",\n    ";
-    out += diagnostic_to_json(sorted[i]);
-  }
-  out += sorted.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+         ", \"rules_run\": " + std::to_string(checks_run_) + "},\n";
+  return out + json_diagnostics() + "}\n";
 }
 
 namespace {
@@ -183,38 +137,11 @@ LintReport run_lint(const LintInput& input, const LintOptions& options,
     (void)nl.levelization();
   }
 
-  // Enabled rules in registry order.
-  std::vector<const LintRule*> enabled;
-  for (const auto& rule : registry.rules()) {
-    const bool disabled =
-        std::find(options.disabled_rules.begin(), options.disabled_rules.end(),
-                  rule.id) != options.disabled_rules.end();
-    if (!disabled) enabled.push_back(&rule);
-  }
-
-  // Fan rules out over the pool. Each rule writes only its own slot and
-  // reads only the shared const inputs, so the merged report is identical
-  // for any thread count.
-  std::vector<std::vector<Diagnostic>> per_rule(enabled.size());
-  options.exec.parallel_for(enabled.size(), [&](std::size_t i) {
-    try {
-      enabled[i]->check(input, prep, options, per_rule[i]);
-    } catch (const std::exception& e) {
-      per_rule[i].push_back({Severity::kError, "lint.internal",
-                             "rule:" + enabled[i]->id,
-                             std::string("rule threw: ") + e.what(), "", 0});
-    }
-  });
-
   LintReport report;
   report.design_ = nl.name();
-  report.rules_run_ = enabled.size();
-  for (auto& diags : per_rule) {
-    report.diags_.insert(report.diags_.end(),
-                         std::make_move_iterator(diags.begin()),
-                         std::make_move_iterator(diags.end()));
-  }
-  sort_diagnostics(report.diags_);
+  report.checks_run_ =
+      run_checks(registry, options.disabled_rules, options.exec,
+                 "lint.internal", "rule", report.diags_, input, prep, options);
   return report;
 }
 

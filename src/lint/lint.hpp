@@ -17,11 +17,12 @@
 //                 fanout vs. the Pelgrom/FO4 normalization basis
 //
 // Rules are registered in a pluggable registry and evaluated fanned out
-// over the thread pool (ExecContext); every rule is deterministic and
-// writes its own result slot, so reports are bit-identical at any thread
-// count. Expensive shared facts (driver counts, cycle detection, a mean
-// STA pass for propagated slews/loads) are computed once in LintPrep and
-// shared read-only.
+// over the thread pool (ExecContext) by the check core shared with
+// src/analysis (util/checks.hpp); every rule is deterministic and writes
+// its own result slot, so reports are bit-identical at any thread count.
+// Expensive shared facts (driver counts, cycle detection, a mean STA pass
+// for propagated slews/loads) are computed once in LintPrep and shared
+// read-only.
 
 #include <functional>
 #include <optional>
@@ -34,6 +35,7 @@
 #include "parasitics/spef.hpp"
 #include "pdk/cells.hpp"
 #include "sta/engine.hpp"
+#include "util/checks.hpp"
 #include "util/diag.hpp"
 #include "util/exec.hpp"
 
@@ -97,33 +99,13 @@ struct LintRule {
 
 /// Pluggable rule registry. `global()` comes preloaded with the built-in
 /// rule set (rules.cpp); embedders can add their own rules to a copy.
-class LintRegistry {
+using LintRegistry = CheckRegistry<LintRule>;
+
+/// Registers the built-in rules (called once by LintRegistry::global).
+void register_builtins(LintRegistry& registry);
+
+class LintReport : public DiagnosticReport {
  public:
-  void add(LintRule rule);
-  const std::vector<LintRule>& rules() const { return rules_; }
-  const LintRule* find(const std::string& id) const;
-
-  static const LintRegistry& global();
-
- private:
-  std::vector<LintRule> rules_;
-};
-
-class LintReport {
- public:
-  const std::vector<Diagnostic>& diagnostics() const { return diags_; }
-  std::size_t rules_run() const { return rules_run_; }
-  const std::string& design() const { return design_; }
-
-  int count(Severity s) const;
-  Severity max_severity() const { return nsdc::max_severity(diags_); }
-  /// Process exit status: 0 clean/info, 1 warnings, 2 errors.
-  int exit_code() const { return static_cast<int>(max_severity()); }
-
-  /// Appends extra diagnostics (e.g. parser output) and restores the
-  /// canonical sorted order.
-  void merge(std::vector<Diagnostic> extra);
-
   /// Human-readable report: one line per diagnostic plus a summary line.
   std::string to_text() const;
   /// Machine-readable report; deterministic (sorted diagnostics, stable
@@ -134,9 +116,6 @@ class LintReport {
  private:
   friend LintReport run_lint(const LintInput&, const LintOptions&,
                              const LintRegistry&);
-  std::string design_;
-  std::vector<Diagnostic> diags_;
-  std::size_t rules_run_ = 0;
 };
 
 /// Evaluates every enabled rule against the input. Rules fan out over
@@ -144,10 +123,5 @@ class LintReport {
 /// error diagnostic rather than aborting the run.
 LintReport run_lint(const LintInput& input, const LintOptions& options = {},
                     const LintRegistry& registry = LintRegistry::global());
-
-namespace lint_detail {
-/// Registers the built-in rules (called once by LintRegistry::global).
-void register_builtin_rules(LintRegistry& registry);
-}  // namespace lint_detail
 
 }  // namespace nsdc

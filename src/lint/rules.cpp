@@ -14,7 +14,6 @@
 #include "sta/annotate.hpp"
 
 namespace nsdc {
-namespace lint_detail {
 namespace {
 
 std::string cell_obj(const GateNetlist& nl, int c) {
@@ -577,7 +576,7 @@ void rule_fanout_basis(const LintInput& in, const LintPrep&,
 
 }  // namespace
 
-void register_builtin_rules(LintRegistry& registry) {
+void register_builtins(LintRegistry& registry) {
   auto add = [&](const char* id, const char* layer, const char* desc,
                  auto fn) {
     registry.add({id, layer, desc, fn});
@@ -631,5 +630,4 @@ void register_builtin_rules(LintRegistry& registry) {
       rule_fanout_basis);
 }
 
-}  // namespace lint_detail
 }  // namespace nsdc

@@ -1,6 +1,7 @@
 #include "parasitics/spef.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -195,7 +196,8 @@ bool ParasiticDb::save(const std::string& path,
 std::optional<ParasiticDb> ParasiticDb::load(const std::string& path,
                                              std::vector<Diagnostic>* diags) {
   std::ifstream f(path);
-  if (!f) return std::nullopt;
+  // std::ifstream opens a directory too, and reads nothing from it.
+  if (!f || std::filesystem::is_directory(path)) return std::nullopt;
   std::ostringstream ss;
   ss << f.rdbuf();
   return from_spef(ss.str(), diags);

@@ -55,7 +55,7 @@ class ParasiticDb {
 
   bool save(const std::string& path, const std::string& design_name) const;
   /// Reads `path` and parses it with from_spef, forwarding `diags`.
-  /// std::nullopt when the file cannot be opened.
+  /// std::nullopt when the file cannot be opened or is a directory.
   static std::optional<ParasiticDb> load(
       const std::string& path, std::vector<Diagnostic>* diags = nullptr);
 

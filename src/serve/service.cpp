@@ -241,7 +241,7 @@ std::string Service::do_lint(const RequestHeader& h,
   net::WireWriter w = ok_response(h.request_id);
   w.u32(static_cast<std::uint32_t>(report.count(Severity::kError)));
   w.u32(static_cast<std::uint32_t>(report.count(Severity::kWarn)));
-  w.u32(static_cast<std::uint32_t>(report.rules_run()));
+  w.u32(static_cast<std::uint32_t>(report.checks_run()));
   w.str(report.to_text());
   return w.take();
 }

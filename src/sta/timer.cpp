@@ -9,7 +9,7 @@ namespace nsdc {
 NSigmaTimer::Analysis NSigmaTimer::analyze(const GateNetlist& netlist,
                                            const ParasiticDb& parasitics) const {
   const auto t0 = std::chrono::steady_clock::now();
-  StaEngine engine(cell_model_, tech_, sta_config_);
+  StaEngine engine(cell_model_, tech_);
   const StaEngine::Result sta = engine.run(netlist, parasitics);
 
   Analysis out;
@@ -27,7 +27,7 @@ NSigmaTimer::Analysis NSigmaTimer::analyze(const GateNetlist& netlist,
 std::vector<NSigmaTimer::PathReport> NSigmaTimer::analyze_paths(
     const GateNetlist& netlist, const ParasiticDb& parasitics,
     std::size_t max_paths) const {
-  StaEngine engine(cell_model_, tech_, sta_config_);
+  StaEngine engine(cell_model_, tech_);
   const StaEngine::Result sta = engine.run(netlist, parasitics);
   PathDelayCalculator calc(cell_model_, wire_model_);
   std::vector<PathReport> out;

@@ -27,11 +27,6 @@ class NSigmaTimer {
   const NSigmaWireModel& wire_model() const { return wire_model_; }
   const TechParams& tech() const { return tech_; }
 
-  /// Execution policy for the internal STA engine (pool, lanes, serial
-  /// fallback threshold). Defaults to the process-global pool.
-  void set_sta_config(const StaConfig& config) { sta_config_ = config; }
-  const StaConfig& sta_config() const { return sta_config_; }
-
   struct Analysis {
     PathDescription critical_path;
     std::array<double, 7> quantiles{};  ///< path delay, -3s..+3s
@@ -39,8 +34,8 @@ class NSigmaTimer {
     double runtime_seconds = 0.0;       ///< model evaluation wall clock
   };
 
-  /// Runs mean STA, extracts the critical path, and evaluates the N-sigma
-  /// path quantiles (Eq. 10).
+  /// Runs mean STA (a default StaConfig: the process-global pool), extracts
+  /// the critical path, and evaluates the N-sigma path quantiles (Eq. 10).
   Analysis analyze(const GateNetlist& netlist,
                    const ParasiticDb& parasitics) const;
 
@@ -59,7 +54,6 @@ class NSigmaTimer {
   NSigmaCellModel cell_model_;
   NSigmaWireModel wire_model_;
   TechParams tech_;
-  StaConfig sta_config_{};
 };
 
 }  // namespace nsdc

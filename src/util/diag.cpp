@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <tuple>
 
 namespace nsdc {
@@ -39,12 +40,6 @@ bool diagnostic_json_before(const Diagnostic& a, const Diagnostic& b) {
 
 void sort_diagnostics_for_json(std::vector<Diagnostic>& diags) {
   std::stable_sort(diags.begin(), diags.end(), diagnostic_json_before);
-}
-
-Severity max_severity(const std::vector<Diagnostic>& diags) {
-  Severity worst = Severity::kInfo;
-  for (const auto& d : diags) worst = std::max(worst, d.severity);
-  return worst;
 }
 
 std::string format_diagnostic(const Diagnostic& d) {
@@ -118,6 +113,38 @@ std::string diagnostic_to_json(const Diagnostic& d) {
   out += ", \"hint\": ";
   out += json_quote(d.hint);
   out += '}';
+  return out;
+}
+
+int DiagnosticReport::count(Severity s) const {
+  int n = 0;
+  for (const auto& d : diags_) {
+    if (d.severity == s) ++n;
+  }
+  return n;
+}
+
+Severity DiagnosticReport::max_severity() const {
+  Severity worst = Severity::kInfo;
+  for (const auto& d : diags_) worst = std::max(worst, d.severity);
+  return worst;
+}
+
+void DiagnosticReport::merge(std::vector<Diagnostic> extra) {
+  diags_.insert(diags_.end(), std::make_move_iterator(extra.begin()),
+                std::make_move_iterator(extra.end()));
+  sort_diagnostics(diags_);
+}
+
+std::string DiagnosticReport::json_diagnostics() const {
+  std::vector<Diagnostic> sorted = diags_;
+  sort_diagnostics_for_json(sorted);
+  std::string out = "  \"diagnostics\": [";
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    out += i == 0 ? "\n    " : ",\n    ";
+    out += diagnostic_to_json(sorted[i]);
+  }
+  out += sorted.empty() ? "]\n" : "\n  ]\n";
   return out;
 }
 

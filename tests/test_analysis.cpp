@@ -527,8 +527,8 @@ TEST(Engine, DisabledPassesAreSkipped) {
   opt.disabled_passes = {"analysis.domain-coverage"};
   const AnalysisReport report = run_analysis(fx.input(), opt);
   EXPECT_EQ(count_rule(report, "analysis.domain-coverage"), 0);
-  EXPECT_EQ(report.passes_run(),
-            AnalysisRegistry::global().passes().size() - 1);
+  EXPECT_EQ(report.checks_run(),
+            AnalysisRegistry::global().checks().size() - 1);
 }
 
 TEST(Engine, RegistryRejectsDuplicateIds) {

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -214,6 +215,7 @@ class DistTest : public ::testing::Test {
   ~DistTest() override {
     clear_fault_plan();
     ::unsetenv("NSDC_FAULTS");
+    for (const auto& dir : workdirs_) std::filesystem::remove_all(dir);
   }
 
   /// Arms `plan` for both sides: NSDC_FAULTS for the fork/exec'd workers,
@@ -223,16 +225,18 @@ class DistTest : public ::testing::Test {
     install_fault_plan(FaultPlan::parse(plan));
   }
 
-  static std::string unique_workdir(const std::string& tag) {
+  /// A fresh shard workdir, removed when the test's fixture is destroyed.
+  std::string unique_workdir(const std::string& tag) {
     static int counter = 0;
-    return ::testing::TempDir() + "nsdc_dist_" +
-           std::to_string(::getpid()) + "_" + tag + "_" +
-           std::to_string(counter++);
+    workdirs_.push_back(::testing::TempDir() + "nsdc_dist_" +
+                        std::to_string(::getpid()) + "_" + tag + "_" +
+                        std::to_string(counter++));
+    return workdirs_.back();
   }
 
   /// Fast-retry options over the default mul/5 bundle, 96 samples: 32
   /// accumulation blocks of 3 samples each.
-  static dist::DistOptions base_options(const std::string& tag) {
+  dist::DistOptions base_options(const std::string& tag) {
     dist::DistOptions opt;
     opt.mode = "mc";
     opt.workers = 1;
@@ -271,6 +275,7 @@ class DistTest : public ::testing::Test {
   }
 
   dist::DesignBundle bundle_;
+  std::vector<std::string> workdirs_;
 };
 
 TEST_F(DistTest, CleanOneWorkerMatchesSingleProcess) {
@@ -490,6 +495,7 @@ TEST(DistTool, CompleteRunExitsZero) {
                           "--workdir " +
                           workdir + " >/dev/null 2>&1";
   EXPECT_EQ(run_tool(cmd), 0);
+  std::filesystem::remove_all(workdir);
 }
 
 TEST(DistTool, RetryExhaustionExitsPartialCode) {
@@ -504,6 +510,7 @@ TEST(DistTool, RetryExhaustionExitsPartialCode) {
       workdir + " >/dev/null 2>&1";
   EXPECT_EQ(run_tool(cmd), kExitPartial);
   EXPECT_EQ(kExitPartial, 14);
+  std::filesystem::remove_all(workdir);
 }
 
 TEST(DistTool, RejectsUnknownFlag) {

@@ -110,7 +110,7 @@ TEST(LintClean, C17WithParasiticsAndCharlibHasZeroErrors) {
   in.tech = &tech;
   const LintReport report = run_lint(in);
   EXPECT_EQ(report.count(Severity::kError), 0) << report.to_text();
-  EXPECT_EQ(report.rules_run(), LintRegistry::global().rules().size());
+  EXPECT_EQ(report.checks_run(), LintRegistry::global().checks().size());
 }
 
 TEST(LintClean, GeneratedDesignHasZeroErrors) {
@@ -476,8 +476,8 @@ TEST(LintEngine, DisabledRulesAreSkipped) {
   opt.disabled_rules = {"net.dangling-output"};
   const LintReport report = run_lint(in, opt);
   EXPECT_EQ(count_rule(report, "net.dangling-output"), 0);
-  EXPECT_EQ(report.rules_run(),
-            LintRegistry::global().rules().size() - 1);
+  EXPECT_EQ(report.checks_run(),
+            LintRegistry::global().checks().size() - 1);
 }
 
 TEST(LintEngine, ExitCodeTracksMaxSeverity) {

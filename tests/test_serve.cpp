@@ -6,7 +6,8 @@
 // first request and run again after a failed run, edit sessions
 // byte-identical to offline IncrementalSta, duplicate-net-name query
 // rejection, and the argparse rejection matrix — unit level plus the three
-// CLIs exiting 3 on invalid argument values.
+// CLIs exiting 3 on invalid argument values — and the nsdc_lint /
+// nsdc_analyze stdout goldens with their exit codes.
 #include "serve/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -17,10 +18,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/client.hpp"
@@ -897,6 +901,143 @@ TEST(CliValidation, MalformedSpefLineIsReportedNotFatal) {
   }
   std::remove(spef.c_str());
 }
+
+TEST(CliValidation, DesignLoaderFailuresKeepTheirExitCodes) {
+  const std::string c17 = std::string(NSDC_SOURCE_DIR) + "/data/c17.bench";
+  const std::string charlib =
+      std::string(NSDC_SOURCE_DIR) + "/nsdc_charlib_cache.txt";
+  const std::string missing = ::testing::TempDir() + "nsdc_no_such_file";
+  std::remove(missing.c_str());
+  for (const char* name : {"/nsdc_lint", "/nsdc_analyze"}) {
+    const std::string tool = std::string(NSDC_TOOL_DIR) + name;
+    EXPECT_EQ(run_tool(tool), 3) << name << ": no design source";
+    EXPECT_EQ(run_tool(tool + " --bench " + c17 + " --iscas C432"), 3)
+        << name << ": two design sources";
+    // A missing netlist file is a typed I/O error; a missing --spef or
+    // --charlib file is a usage error.
+    EXPECT_EQ(run_tool(tool + " --bench " + missing), 12) << name;
+    EXPECT_EQ(run_tool(tool + " --verilog " + missing), 12) << name;
+    EXPECT_EQ(run_tool(tool + " --iscas C9999"), 3) << name;
+    EXPECT_EQ(run_tool(tool + " --bench " + c17 + " --charlib " + missing), 3)
+        << name;
+  }
+  EXPECT_EQ(run_tool(std::string(NSDC_TOOL_DIR) + "/nsdc_analyze --bench " +
+                     c17 + " --charlib " + charlib + " --synthetic-charlib"),
+            3);
+}
+
+TEST(CliValidation, SpefDirectoryCannotBeOpened) {
+  const std::string c17 = std::string(NSDC_SOURCE_DIR) + "/data/c17.bench";
+  for (const char* name : {"/nsdc_lint", "/nsdc_analyze"}) {
+    EXPECT_EQ(run_tool(std::string(NSDC_TOOL_DIR) + name + " --bench " + c17 +
+                       " --spef " + ::testing::TempDir()),
+              3)
+        << name;
+  }
+}
+
+// --- CLI goldens ------------------------------------------------------------
+// Each run's stdout must equal its golden under data/ at --threads 1 and
+// --threads 4, and its exit status the pinned one. NSDC_REGEN_GOLDEN=1
+// rewrites the goldens from the 1-thread run (the test then reports
+// SKIPPED; rerun without the variable).
+
+/// Runs `cmd` with stderr discarded; returns its exit status and stdout.
+std::pair<int, std::string> run_capture(const std::string& cmd) {
+  std::FILE* pipe = ::popen((cmd + " 2>/dev/null").c_str(), "r");
+  if (pipe == nullptr) return {-1, ""};
+  std::string out;
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, got);
+  const int rc = ::pclose(pipe);
+  return {WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, out};
+}
+
+struct CliRun {
+  std::string golden;  ///< file name under data/
+  std::string tool;
+  std::string args;
+  int exit_code;
+  /// Prepend `--bench` of a test-written .bench with an undefined signal
+  /// and an unknown function, whose parse.bench diagnostics merge into
+  /// the report.
+  bool malformed_bench = false;
+};
+
+/// Names the run by its golden in test listings (the default prints the
+/// struct's bytes, pointers included).
+void PrintTo(const CliRun& run, std::ostream* os) { *os << run.golden; }
+
+class CliGolden : public ::testing::TestWithParam<CliRun> {};
+
+TEST_P(CliGolden, StdoutAndExitCodeMatchAtOneAndFourThreads) {
+  const CliRun& run = GetParam();
+  const std::string golden = std::string(NSDC_SOURCE_DIR) + "/data/" +
+                             run.golden;
+  // A per-process directory: parallel runs do not share the file, and the
+  // design name (the file stem) stays fixed.
+  const std::string dir =
+      ::testing::TempDir() + "nsdc_cli_" + std::to_string(::getpid());
+  std::string args = run.args;
+  if (run.malformed_bench) {
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/malformed.bench")
+        << "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nx = NAND(a, q)\n"
+           "z = FROB(x, b)\ny = AND(a, b)\n";
+    args = "--bench " + dir + "/malformed.bench " + args;
+  }
+  for (const char* threads : {"1", "4"}) {
+    const auto [rc, out] =
+        run_capture(std::string(NSDC_TOOL_DIR) + "/" + run.tool +
+                    " --threads " + threads + " " + args);
+    if (std::getenv("NSDC_REGEN_GOLDEN") != nullptr) {
+      std::ofstream(golden, std::ios::binary) << out;
+      std::filesystem::remove_all(dir);
+      GTEST_SKIP() << "regenerated " << golden;
+    }
+    EXPECT_EQ(rc, run.exit_code) << threads << " thread(s)";
+    std::ifstream in(golden, std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden file: " << golden;
+    std::ostringstream want;
+    want << in.rdbuf();
+    EXPECT_EQ(out, want.str()) << threads << " thread(s): " << run.tool
+                               << " output drifted from " << golden;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+const std::string kC432Args = "--iscas C432 --gen-spef --charlib " +
+                              std::string(NSDC_SOURCE_DIR) +
+                              "/nsdc_charlib_cache.txt";
+const std::string kVerifyArgs = kC432Args + " --verify --mc-samples 200";
+
+INSTANTIATE_TEST_SUITE_P(
+    Runs, CliGolden,
+    ::testing::Values(
+        CliRun{"cli_lint_c432.txt", "nsdc_lint", kC432Args, 1},
+        CliRun{"cli_lint_c432.json", "nsdc_lint", kC432Args + " --json", 1},
+        CliRun{"cli_analyze_c432.txt", "nsdc_analyze", kVerifyArgs, 1},
+        CliRun{"cli_analyze_c432.json", "nsdc_analyze",
+               kVerifyArgs + " --json", 1},
+        CliRun{"cli_analyze_c17_synthetic.txt", "nsdc_analyze",
+               "--bench " + std::string(NSDC_SOURCE_DIR) +
+                   "/data/c17.bench --gen-spef --synthetic-charlib",
+               0},
+        CliRun{"cli_lint_malformed.txt", "nsdc_lint", "", 2, true},
+        CliRun{"cli_lint_malformed.json", "nsdc_lint", "--json", 2, true},
+        CliRun{"cli_analyze_malformed.txt", "nsdc_analyze", "", 2, true},
+        CliRun{"cli_analyze_malformed.json", "nsdc_analyze", "--json", 2,
+               true},
+        CliRun{"cli_lint_rules.txt", "nsdc_lint", "--list-rules", 0},
+        CliRun{"cli_analyze_passes.txt", "nsdc_analyze", "--list-passes", 0}),
+    [](const ::testing::TestParamInfo<CliRun>& run) {
+      std::string name = run.param.golden.substr(4);  // drop "cli_"
+      for (char& c : name) {
+        if (c == '.') c = '_';
+      }
+      return name;
+    });
 
 // --- Graceful shutdown ------------------------------------------------------
 

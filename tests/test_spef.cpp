@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <utility>
 #include <vector>
 
@@ -119,6 +121,19 @@ TEST(Spef, SaveLoadFile) {
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->contains("n1"));
   EXPECT_FALSE(ParasiticDb::load("/nonexistent/dir/file.spef").has_value());
+}
+
+TEST(Spef, LoadOfADirectoryIsNullopt) {
+  // std::ifstream opens a directory and reads nothing from it; load must
+  // report it as unopenable rather than return an empty database.
+  EXPECT_FALSE(ParasiticDb::load(::testing::TempDir()).has_value());
+  // An empty regular file still parses to an empty database.
+  const std::string empty = ::testing::TempDir() + "nsdc_spef_empty.spef";
+  std::ofstream(empty).close();
+  const auto db = ParasiticDb::load(empty);
+  std::remove(empty.c_str());
+  ASSERT_TRUE(db.has_value());
+  EXPECT_EQ(db->size(), 0u);
 }
 
 TEST(Spef, OverwriteNet) {

@@ -5,39 +5,17 @@
 //                  [--spef F | --gen-spef] [--charlib F]
 //                  [--json] [--threads N] [--disable RULE]... [--list-rules]
 //
-//   --bench F      load an ISCAS-style .bench netlist
-//   --verilog F    load a structural Verilog netlist
-//   --iscas NAME   generate the ISCAS85-like synthetic design (e.g. C432)
-//   --random N     generate a seeded random mapped design of ~N cells
-//   --spef F       load SPEF-lite parasitics (enables the parasitic rules)
-//   --gen-spef     generate seeded parasitics for the netlist instead
-//   --charlib F    load a characterized library (enables the domain rules)
-//   --json         machine-readable report on stdout (deterministic)
-//   --threads N    worker lanes for the rule fan-out / internal STA
-//   --disable R    skip rule id R (repeatable)
 //   --list-rules   print the registered rules and exit
 //
-// Parser problems (malformed lines, undefined signals, negative RC, ...)
-// are reported as parse.* diagnostics with source line numbers and merged
-// into the same report. Exit status: 0 clean/info, 1 warnings, 2 errors,
-// 3 usage, invalid argument value, or load failure; typed failures map to
-// the shared robustness codes (util/errors.hpp): 10 cancelled,
-// 11 unrecoverable parse error, 12 I/O error, 13 internal error.
+// design_loader.hpp documents the other flags and the exit status:
+// --spef / --gen-spef enable the parasitic rules, --charlib the domain
+// rules, and --disable takes a rule id.
 #include <cstdio>
 #include <cstring>
-#include <optional>
-#include <string>
-#include <vector>
 
+#include "design_loader.hpp"
 #include "lint/lint.hpp"
-#include "netlist/benchio.hpp"
-#include "netlist/designgen.hpp"
-#include "netlist/verilogio.hpp"
-#include "sta/annotate.hpp"
-#include "util/argparse.hpp"
 #include "util/errors.hpp"
-#include "util/log.hpp"
-#include "util/threading.hpp"
 
 using namespace nsdc;
 
@@ -54,7 +32,7 @@ int usage(const char* argv0) {
 }
 
 int list_rules() {
-  for (const auto& rule : LintRegistry::global().rules()) {
+  for (const auto& rule : LintRegistry::global().checks()) {
     std::printf("%-26s %-10s %s\n", rule.id.c_str(), rule.layer.c_str(),
                 rule.description.c_str());
   }
@@ -62,125 +40,20 @@ int list_rules() {
 }
 
 int tool_main(int argc, char** argv) {
-  std::string bench_path, verilog_path, iscas_name, spef_path, charlib_path;
-  int random_cells = 0;
-  bool gen_spef = false, json = false;
-  LintOptions options;
-
+  DesignFlags flags;
   for (int i = 1; i < argc; ++i) {
-    auto arg_value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* a = argv[i];
-    const char* v = nullptr;
-    if (std::strcmp(a, "--list-rules") == 0) return list_rules();
-    if (std::strcmp(a, "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(a, "--gen-spef") == 0) {
-      gen_spef = true;
-    } else if (std::strcmp(a, "--bench") == 0 && (v = arg_value())) {
-      bench_path = v;
-    } else if (std::strcmp(a, "--verilog") == 0 && (v = arg_value())) {
-      verilog_path = v;
-    } else if (std::strcmp(a, "--iscas") == 0 && (v = arg_value())) {
-      iscas_name = v;
-    } else if (std::strcmp(a, "--random") == 0 && (v = arg_value())) {
-      random_cells =
-          static_cast<int>(require_integer("--random", v, 1, 10'000'000));
-    } else if (std::strcmp(a, "--spef") == 0 && (v = arg_value())) {
-      spef_path = v;
-    } else if (std::strcmp(a, "--charlib") == 0 && (v = arg_value())) {
-      charlib_path = v;
-    } else if (std::strcmp(a, "--threads") == 0 && (v = arg_value())) {
-      options.exec.threads = require_unsigned("--threads", v, 1, 1024);
-      set_default_threads(options.exec.threads);
-    } else if (std::strcmp(a, "--disable") == 0 && (v = arg_value())) {
-      options.disabled_rules.push_back(v);
-    } else {
-      return usage(argv[0]);
-    }
+    if (std::strcmp(argv[i], "--list-rules") == 0) return list_rules();
+    if (!flags.parse(argc, argv, i)) return usage(argv[0]);
   }
-  const int sources = (bench_path.empty() ? 0 : 1) +
-                      (verilog_path.empty() ? 0 : 1) +
-                      (iscas_name.empty() ? 0 : 1) + (random_cells > 0 ? 1 : 0);
-  if (sources != 1) return usage(argv[0]);
-  set_log_level(LogLevel::kWarn);
+  if (!flags.one_source()) return usage(argv[0]);
 
-  const TechParams tech = TechParams::nominal28();
-  const CellLibrary cells = CellLibrary::standard();
-  std::vector<Diagnostic> parse_diags;
-
-  std::optional<GateNetlist> nl;
-  try {
-    if (!bench_path.empty()) {
-      nl = load_bench(bench_path, cells, &parse_diags);
-    } else if (!verilog_path.empty()) {
-      nl = load_verilog(verilog_path, cells, &parse_diags);
-    } else if (!iscas_name.empty()) {
-      nl = generate_iscas_like(iscas_name, cells);
-      finalize_design(*nl, cells, tech);
-    } else {
-      RandomNetlistSpec spec;
-      spec.name = "random" + std::to_string(random_cells);
-      spec.target_cells = random_cells;
-      nl = generate_random_mapped(spec, cells);
-      finalize_design(*nl, cells, tech);
-    }
-  } catch (const Error&) {
-    throw;  // typed: the top-level handler maps it to its exit code
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "nsdc_lint: cannot load design: %s\n", e.what());
-    return 3;
-  }
-
-  std::optional<ParasiticDb> spef;
-  if (!spef_path.empty()) {
-    spef = ParasiticDb::load(spef_path, &parse_diags);
-    if (!spef) {
-      std::fprintf(stderr, "nsdc_lint: cannot open %s\n", spef_path.c_str());
-      return 3;
-    }
-  } else if (gen_spef) {
-    spef = generate_parasitics(*nl, tech);
-  }
-
-  std::optional<CharLib> charlib;
-  std::optional<NSigmaCellModel> cell_model;
-  if (!charlib_path.empty()) {
-    charlib = CharLib::load(charlib_path);
-    if (!charlib) {
-      std::fprintf(stderr, "nsdc_lint: cannot load charlib %s\n",
-                   charlib_path.c_str());
-      return 3;
-    }
-    try {
-      cell_model = NSigmaCellModel::fit(*charlib);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "nsdc_lint: charlib model fit failed: %s\n",
-                   e.what());
-      // Domain rules that need the model are skipped; grid rules still run.
-    }
-  }
-
-  LintInput input;
-  input.netlist = &*nl;
-  if (spef) input.parasitics = &*spef;
-  if (charlib) {
-    input.charlib = &*charlib;
-    input.tech = &charlib->tech();
-  }
-  if (cell_model) input.cell_model = &*cell_model;
-  if (input.tech == nullptr) input.tech = &tech;
-
-  LintReport report = run_lint(input, options);
-  report.merge(std::move(parse_diags));
-
-  if (json) {
-    std::fputs(report.to_json().c_str(), stdout);
-  } else {
-    std::fputs(report.to_text().c_str(), stdout);
-  }
-  return report.exit_code();
+  LoadedDesign design;
+  if (const int rc = load_design(flags, "nsdc_lint", design)) return rc;
+  LintOptions options;
+  options.exec.threads = flags.threads;
+  options.disabled_rules = flags.disabled;
+  LintReport report = run_lint(design_input<LintInput>(design), options);
+  return print_report(report, design, flags.json);
 }
 
 }  // namespace

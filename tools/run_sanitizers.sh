@@ -11,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REGEX="Threading|ThreadPool|ParallelFor|Sta|NetMc|Netlist|GoldenSta|PathDelay|Lint|Spef|Bench|Incremental|Mutator|Fault|CancellationToken|Moments|Ssta|FlatGraph|Serve|Wire|Argparse|CliValidation|Dist|RetryPolicy|RcTree|DesignGen|Quantile"
+REGEX="Threading|ThreadPool|ParallelFor|Sta|NetMc|Netlist|GoldenSta|PathDelay|Lint|Spef|Bench|Incremental|Mutator|Fault|CancellationToken|Moments|Ssta|FlatGraph|Serve|Wire|Argparse|CliValidation|CliGolden|Dist|RetryPolicy|RcTree|DesignGen|Quantile"
 SANS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
