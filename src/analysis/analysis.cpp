@@ -187,8 +187,7 @@ AnalysisReport run_analysis(const AnalysisInput& input,
   } else if (input.parasitics == nullptr || input.tech == nullptr) {
     prep.interval_skip_reason = "no parasitics/tech for load annotation";
   } else {
-    const FlatTimingGraph graph =
-        FlatTimingGraph::compile(nl, options.exec.cancel);
+    const FlatTimingGraph graph = FlatTimingGraph::compile(nl, options.exec);
     annotated.emplace();
     StaEngine::Result& res = *annotated;
     res.nets.resize(nl.num_nets());

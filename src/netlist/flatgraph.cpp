@@ -1,14 +1,17 @@
 #include "netlist/flatgraph.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 
-#include "util/cancel.hpp"
 #include "util/faultinject.hpp"
 
 namespace nsdc {
 
 namespace {
+
+using Id = FlatTimingGraph::Id;
 
 // One id value (kNoId) is reserved, so the usable range is [0, kNoId).
 void check_id_range(std::size_t count, const char* what) {
@@ -18,16 +21,28 @@ void check_id_range(std::size_t count, const char* what) {
   }
 }
 
-void append_name(std::string& arena, std::vector<FlatTimingGraph::Id>& off,
-                 std::string_view name) {
-  off.push_back(static_cast<FlatTimingGraph::Id>(arena.size()));
-  arena.append(name);
+/// Minimum block of the size and fill passes: a design below a few
+/// thousand cells and nets runs each pass as one inline block.
+constexpr std::size_t kFillGrain = 4096;
+
+/// Rewrites the sizes held in off[1..] into offsets from `base`: off[i]
+/// becomes base plus the sizes of slots [0, i). Returns the end offset,
+/// summed in std::size_t so the caller can range-check it before any
+/// offset is used.
+std::size_t scan_offsets(std::vector<Id>& off, std::size_t base) {
+  std::size_t end = base;
+  off[0] = static_cast<Id>(base);
+  for (std::size_t i = 1; i < off.size(); ++i) {
+    end += off[i];
+    off[i] = static_cast<Id>(end);
+  }
+  return end;
 }
 
 }  // namespace
 
 FlatTimingGraph FlatTimingGraph::compile(const GateNetlist& netlist,
-                                         CancellationToken* cancel) {
+                                         const ExecContext& exec) {
   FlatTimingGraph g;
   g.design_name_ = netlist.name();
   g.source_generation_ = netlist.generation();
@@ -36,52 +51,17 @@ FlatTimingGraph FlatTimingGraph::compile(const GateNetlist& netlist,
   const std::size_t num_nets = netlist.num_nets();
   check_id_range(num_cells, "cells");
   check_id_range(num_nets, "nets");
+  const std::vector<CellInst>& cells = netlist.cells();
+  const std::vector<Net>& nets = netlist.nets();
 
-  // Levelize first (throws on a combinational cycle before any packing).
+  // --- Positions, one level at a time (levelize first: a cycle throws) ---
   const auto& lev = netlist.levelization();
-
-  // Fanout entries mirror net.sinks: compute per-net offsets and total.
-  std::size_t total_fanouts = 0;
-  std::size_t total_arcs = 0;
-  for (std::size_t n = 0; n < num_nets; ++n) {
-    total_fanouts += netlist.net(static_cast<int>(n)).sinks.size();
-  }
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    total_arcs += netlist.cell(static_cast<int>(c)).fanin_nets.size();
-  }
-  check_id_range(total_fanouts, "fanout entries");
-  check_id_range(total_arcs, "fanin arcs");
-
-  // --- Per-net fanout CSR + interned names (net.sinks order) -------------
-  std::size_t name_bytes = 0;
-  for (std::size_t n = 0; n < num_nets; ++n) {
-    name_bytes += netlist.net(static_cast<int>(n)).name.size();
-  }
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    // Cell name, plus one "<inst>:<pin>" per fanout entry (pin digits are
-    // bounded; reserve the name and a small slack per entry).
-    const auto& inst = netlist.cell(static_cast<int>(c));
-    name_bytes += inst.name.size();
-  }
-  g.arena_.reserve(name_bytes + total_fanouts * 4);
-
-  g.net_name_off_.reserve(num_nets + 1);
-  for (std::size_t n = 0; n < num_nets; ++n) {
-    append_name(g.arena_, g.net_name_off_, netlist.net(static_cast<int>(n)).name);
-  }
-  g.net_name_off_.push_back(static_cast<Id>(g.arena_.size()));
-
-  g.fanout_begin_.reserve(num_nets + 1);
-  g.fanout_pos_.reserve(total_fanouts);
-  g.fanout_pin_.reserve(total_fanouts);
-
-  // Positions are needed to fill fanout_pos_, so assign them first.
   g.cell_pos_.assign(num_cells, kNoId);
   g.level_begin_.reserve(lev.levels.size() + 1);
   g.level_begin_.push_back(0);
   g.cell_id_.reserve(num_cells);
   for (std::size_t l = 0; l < lev.levels.size(); ++l) {
-    fault_fire("flatgraph.compile", l, cancel);
+    fault_fire("flatgraph.compile", l, exec.cancel);
     for (int c : lev.levels[l]) {
       g.cell_pos_[static_cast<std::size_t>(c)] =
           static_cast<Id>(g.cell_id_.size());
@@ -95,64 +75,110 @@ FlatTimingGraph FlatTimingGraph::compile(const GateNetlist& netlist,
         netlist.name());
   }
 
-  // --- Per-position arrays ------------------------------------------------
-  g.cell_out_net_.reserve(num_cells);
-  g.cell_type_.reserve(num_cells);
-  g.inverting_.reserve(num_cells);
-  g.cell_fanin_begin_.reserve(num_cells + 1);
-  g.cell_fanin_begin_.push_back(0);
-  g.fanin_net_.reserve(total_arcs);
-  g.cell_name_off_.reserve(num_cells + 1);
-  for (Id pos = 0; pos < num_cells; ++pos) {
-    const auto& inst = netlist.cell(static_cast<int>(g.cell_id_[pos]));
-    g.cell_out_net_.push_back(static_cast<Id>(inst.out_net));
-    g.cell_type_.push_back(inst.type);
-    g.inverting_.push_back(inst.type->inverting() ? 1 : 0);
-    append_name(g.arena_, g.cell_name_off_, inst.name);
-    for (int fan : inst.fanin_nets) {
-      g.fanin_net_.push_back(fan < 0 ? kNoId : static_cast<Id>(fan));
-    }
-    g.cell_fanin_begin_.push_back(static_cast<Id>(g.fanin_net_.size()));
-  }
-  g.cell_name_off_.push_back(static_cast<Id>(g.arena_.size()));
+  // --- Size: each position and net writes its counts at index + 1 -------
+  g.cell_fanin_begin_.assign(num_cells + 1, 0);
+  g.cell_name_off_.assign(num_cells + 1, 0);
+  exec.parallel_for_chunked(
+      num_cells, kFillGrain, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t pos = begin; pos < end; ++pos) {
+          const CellInst& inst = cells[g.cell_id_[pos]];
+          g.cell_fanin_begin_[pos + 1] =
+              static_cast<Id>(inst.fanin_nets.size());
+          g.cell_name_off_[pos + 1] = static_cast<Id>(inst.name.size());
+        }
+      });
+  g.fanout_begin_.assign(num_nets + 1, 0);
+  g.net_name_off_.assign(num_nets + 1, 0);
+  std::vector<Id> sink_names_begin(num_nets + 1, 0);  // per net
+  exec.parallel_for_chunked(
+      num_nets, kFillGrain, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t n = begin; n < end; ++n) {
+          const Net& net = nets[n];
+          g.fanout_begin_[n + 1] = static_cast<Id>(net.sinks.size());
+          g.net_name_off_[n + 1] = static_cast<Id>(net.name.size());
+          std::size_t bytes = 0;
+          for (const NetSink& sink : net.sinks) {
+            bytes += cells[static_cast<std::size_t>(sink.cell)].name.size() +
+                     1 + std::to_string(sink.pin).size();
+          }
+          sink_names_begin[n + 1] = static_cast<Id>(bytes);
+        }
+      });
 
-  // --- Fanout CSR + sink names (net.sinks order, matching annotate) ------
-  g.sink_name_off_.reserve(total_fanouts + 1);
-  for (std::size_t n = 0; n < num_nets; ++n) {
-    const Net& net = netlist.net(static_cast<int>(n));
-    g.fanout_begin_.push_back(static_cast<Id>(g.fanout_pos_.size()));
-    for (const auto& sink : net.sinks) {
-      const auto& inst = netlist.cell(sink.cell);
-      g.fanout_pos_.push_back(g.cell_pos_[static_cast<std::size_t>(sink.cell)]);
-      g.fanout_pin_.push_back(static_cast<Id>(sink.pin));
-      // Byte-identical to sink_pin_name(inst, pin) (sta/annotate.hpp).
-      g.sink_name_off_.push_back(static_cast<Id>(g.arena_.size()));
-      g.arena_.append(inst.name);
-      g.arena_.push_back(':');
-      g.arena_.append(std::to_string(sink.pin));
-    }
-  }
-  g.fanout_begin_.push_back(static_cast<Id>(g.fanout_pos_.size()));
-  g.sink_name_off_.push_back(static_cast<Id>(g.arena_.size()));
-  check_id_range(g.arena_.size(), "name-arena bytes");
+  // --- Prefix sums; each total is range-checked before any offset is used.
+  // The arena holds net names, then cell names (position order), then sink
+  // names (net order, net.sinks order within a net).
+  const std::size_t total_fanouts = scan_offsets(g.fanout_begin_, 0);
+  check_id_range(total_fanouts, "fanout entries");
+  const std::size_t total_arcs = scan_offsets(g.cell_fanin_begin_, 0);
+  check_id_range(total_arcs, "fanin arcs");
+  const std::size_t net_names_end = scan_offsets(g.net_name_off_, 0);
+  const std::size_t cell_names_end =
+      scan_offsets(g.cell_name_off_, net_names_end);
+  const std::size_t arena_bytes =
+      scan_offsets(sink_names_begin, cell_names_end);
+  check_id_range(arena_bytes, "name-arena bytes");
 
-  // --- Per-net driver positions + arc -> fanout-entry mapping -------------
-  g.net_driver_pos_.assign(num_nets, kNoId);
-  for (std::size_t n = 0; n < num_nets; ++n) {
-    const Net& net = netlist.net(static_cast<int>(n));
-    if (net.driver_cell >= 0) {
-      g.net_driver_pos_[n] =
-          g.cell_pos_[static_cast<std::size_t>(net.driver_cell)];
-    }
-  }
+  // --- Fill: every slot is written by exactly one position or net --------
+  g.cell_out_net_.resize(num_cells);
+  g.cell_type_.resize(num_cells);
+  g.inverting_.resize(num_cells);
+  g.fanin_net_.resize(total_arcs);
   g.fanin_sink_.assign(total_arcs, kNoId);
-  for (std::size_t n = 0; n < num_nets; ++n) {
-    for (Id f = g.fanout_begin_[n]; f < g.fanout_begin_[n + 1]; ++f) {
-      const Id pos = g.fanout_pos_[f];
-      const Id arc = g.cell_fanin_begin_[pos] + g.fanout_pin_[f];
-      g.fanin_sink_[arc] = f;
-    }
-  }
+  g.net_driver_pos_.resize(num_nets);
+  g.fanout_pos_.resize(total_fanouts);
+  g.fanout_pin_.resize(total_fanouts);
+  g.sink_name_off_.resize(total_fanouts + 1);
+  g.sink_name_off_[total_fanouts] = static_cast<Id>(arena_bytes);
+  g.arena_.resize(arena_bytes);
+  char* const arena = g.arena_.data();
+  exec.parallel_for_chunked(
+      num_cells, kFillGrain, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t pos = begin; pos < end; ++pos) {
+          const CellInst& inst = cells[g.cell_id_[pos]];
+          g.cell_out_net_[pos] = static_cast<Id>(inst.out_net);
+          g.cell_type_[pos] = inst.type;
+          g.inverting_[pos] = inst.type->inverting() ? 1 : 0;
+          std::copy(inst.name.begin(), inst.name.end(),
+                    arena + g.cell_name_off_[pos]);
+          Id arc = g.cell_fanin_begin_[pos];
+          for (int fan : inst.fanin_nets) {
+            g.fanin_net_[arc++] = fan < 0 ? kNoId : static_cast<Id>(fan);
+          }
+        }
+      });
+  // A net's fanout entries follow net.sinks (the order annotate reads), and
+  // each entry writes the fanin_sink slot of its (cell, pin): sink lists
+  // and connected arcs are a bijection, so no two entries share a slot.
+  exec.parallel_for_chunked(
+      num_nets, kFillGrain, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t n = begin; n < end; ++n) {
+          const Net& net = nets[n];
+          std::copy(net.name.begin(), net.name.end(),
+                    arena + g.net_name_off_[n]);
+          g.net_driver_pos_[n] =
+              net.driver_cell < 0
+                  ? kNoId
+                  : g.cell_pos_[static_cast<std::size_t>(net.driver_cell)];
+          Id f = g.fanout_begin_[n];
+          char* name = arena + sink_names_begin[n];
+          for (const NetSink& sink : net.sinks) {
+            const Id pos = g.cell_pos_[static_cast<std::size_t>(sink.cell)];
+            g.fanout_pos_[f] = pos;
+            g.fanout_pin_[f] = static_cast<Id>(sink.pin);
+            g.fanin_sink_[g.cell_fanin_begin_[pos] + g.fanout_pin_[f]] = f;
+            // Byte-identical to sink_pin_name(inst, pin) (sta/annotate.hpp).
+            g.sink_name_off_[f] = static_cast<Id>(name - arena);
+            const std::string& inst =
+                cells[static_cast<std::size_t>(sink.cell)].name;
+            const std::string pin = std::to_string(sink.pin);
+            name = std::copy(inst.begin(), inst.end(), name);
+            *name++ = ':';
+            name = std::copy(pin.begin(), pin.end(), name);
+            ++f;
+          }
+        }
+      });
 
   // --- Boundary ------------------------------------------------------------
   g.pi_nets_.reserve(netlist.primary_inputs().size());

@@ -33,10 +33,9 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
+#include "util/exec.hpp"
 
 namespace nsdc {
-
-class CancellationToken;
 
 class FlatTimingGraph {
  public:
@@ -44,12 +43,15 @@ class FlatTimingGraph {
   static constexpr Id kNoId = 0xFFFFFFFFu;  ///< unconnected / absent
 
   /// Freezes `netlist` into SoA form. Levelizes (throws std::runtime_error
-  /// on a combinational cycle, like GateNetlist::levelization), then packs
-  /// one level at a time, firing the `flatgraph.compile` fault-injection
-  /// site with the level index. Throws std::length_error when any id
-  /// space would overflow 32 bits.
+  /// on a combinational cycle, like GateNetlist::levelization), then
+  /// assigns positions one level at a time, firing the `flatgraph.compile`
+  /// fault-injection site with the level index and exec.cancel. The arrays
+  /// are then sized, prefix-summed and filled; the size and fill passes
+  /// run over `exec`'s lanes, each slot written by one index, so the graph
+  /// is the same at every lane count and grain. Throws std::length_error
+  /// when any id space would overflow 32 bits.
   static FlatTimingGraph compile(const GateNetlist& netlist,
-                                 CancellationToken* cancel = nullptr);
+                                 const ExecContext& exec = {});
 
   /// Re-reads legacy cell `cell`'s type, inverting flag, output net and
   /// fanin nets from `netlist` into its position. Level ranges, fanout

@@ -9,9 +9,11 @@ namespace nsdc {
 
 RcTree::RcTree() : cap_(1, 0.0) {
   // Every root-only tree shares this shape, so defaults allocate only caps.
-  static const std::shared_ptr<Shape> root =
-      std::make_shared<Shape>(Shape{{-1}, {0.0}, {}});
-  shape_ = root;
+  // The aliasing pointer has no control block: copying or dropping a
+  // default tree touches no count, and use_count() reads 0, so own_shape()
+  // copies the shape before any write and this one is never written.
+  static Shape root{{-1}, {0.0}, {}};
+  shape_ = std::shared_ptr<Shape>(std::shared_ptr<Shape>(), &root);
 }
 
 RcTree::Shape& RcTree::own_shape() {

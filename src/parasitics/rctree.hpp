@@ -10,8 +10,10 @@
 // reference-counted shape, and each tree owns only its node caps. A copy
 // costs a count increment and one vector of doubles; add_cap writes the
 // caps alone, and the calls that change the shape give the tree its own
-// shape first whenever another tree still reaches it. A moved-from tree
-// holds no shape: assign to it or destroy it, nothing else.
+// shape first whenever another tree still reaches it. Default (root-only)
+// trees share one process-wide shape that is not reference-counted, so
+// copying and destroying them does no atomic work. A moved-from tree holds
+// no shape: assign to it or destroy it, nothing else.
 
 #include <memory>
 #include <string>
@@ -94,8 +96,9 @@ class RcTree {
     std::vector<double> res;
     std::vector<Sink> sinks;
   };
-  /// The shape, first replaced by a private copy when another tree shares
-  /// it; the only way to a writable shape.
+  /// The shape, first replaced by a private copy unless this tree holds
+  /// its only count (never so for the uncounted default root); the only
+  /// way to a writable shape.
   Shape& own_shape();
 
   std::shared_ptr<Shape> shape_;

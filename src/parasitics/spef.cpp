@@ -35,7 +35,13 @@ std::string ParasiticDb::to_spef(const std::string& design_name) const {
   std::ostringstream os;
   os.precision(12);
   os << "*SPEF nsdc-lite 1\n*DESIGN " << design_name << "\n";
-  for (const auto& [name, tree] : nets_) {
+  std::vector<const NetMap::value_type*> by_name;
+  by_name.reserve(nets_.size());
+  for (const auto& entry : nets_) by_name.push_back(&entry);
+  std::sort(by_name.begin(), by_name.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  for (const auto* entry : by_name) {
+    const auto& [name, tree] = *entry;
     os << "*D_NET " << name << ' ' << tree.total_cap() << '\n';
     os << "*NODES " << tree.num_nodes() << '\n';
     for (int n = 1; n < tree.num_nodes(); ++n) {

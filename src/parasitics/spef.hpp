@@ -13,11 +13,12 @@
 //   <pin_name> <node_idx>
 //   *END
 
+#include <cstddef>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "parasitics/rctree.hpp"
@@ -25,10 +26,22 @@
 
 namespace nsdc {
 
-/// Net-name -> RC tree storage for a whole design.
+/// Net-name -> RC tree storage for a whole design, hashed by name. The
+/// iteration order of all() is unspecified; to_spef writes the nets sorted
+/// by name.
 class ParasiticDb {
  public:
-  using NetMap = std::map<std::string, RcTree, std::less<>>;
+  /// Hashes a std::string and a std::string_view alike, so find() builds no
+  /// key. Not noexcept: libstdc++ then stores each name's hash in its node,
+  /// and a lookup compares hashes before names.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  using NetMap =
+      std::unordered_map<std::string, RcTree, NameHash, std::equal_to<>>;
 
   void add(const std::string& net, RcTree tree);
   bool contains(const std::string& net) const;
@@ -39,7 +52,7 @@ class ParasiticDb {
   std::size_t size() const { return nets_.size(); }
   const NetMap& all() const { return nets_; }
 
-  /// Serializes to SPEF-lite text.
+  /// Serializes to SPEF-lite text, one *D_NET per net in name order.
   std::string to_spef(const std::string& design_name) const;
   /// Parses SPEF-lite text. Node lines must come in index order, each with
   /// a parent below its own index: the parent < child order RcTree::elmore

@@ -10,8 +10,11 @@ namespace nsdc {
 
 StaEngine::Result StaEngine::run(const GateNetlist& netlist,
                                  const ParasiticDb& parasitics) const {
-  const FlatTimingGraph graph =
-      FlatTimingGraph::compile(netlist, config_.exec.cancel);
+  // The lanes the pass below runs on compile its graph too.
+  const FlatTimingGraph graph = FlatTimingGraph::compile(
+      netlist, config_.parallel_for_size(netlist.num_cells())
+                   ? config_.exec
+                   : config_.exec.with_threads(1));
   return run(graph, netlist, parasitics);
 }
 

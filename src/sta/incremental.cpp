@@ -35,7 +35,7 @@ const StaEngine::Result& IncrementalSta::bind(const GateNetlist& netlist,
 }
 
 const StaEngine::Result& IncrementalSta::full_rerun() {
-  graph_.emplace(FlatTimingGraph::compile(*netlist_, config_.exec.cancel));
+  graph_.emplace(FlatTimingGraph::compile(*netlist_, config_.exec));
   result_ = engine_.run(*graph_, *netlist_, *parasitics_, &rec_);
   synced_gen_ = netlist_->generation();
   pending_parasitics_.clear();

@@ -28,8 +28,7 @@ StatArcs freeze_stat_arcs(const GateNetlist& netlist,
   // The engine's bound per-arc records (charlib handles + Elmore) plus X_w
   // let the loop below read arrays instead of string-keyed model maps.
   const StaEngine engine(cell_model, tech, options.sta);
-  const FlatTimingGraph g =
-      FlatTimingGraph::compile(netlist, options.sta.exec.cancel);
+  const FlatTimingGraph g = FlatTimingGraph::compile(netlist, options.sta.exec);
   FlatArcRecords rec;
   const StaEngine::Result nom = engine.run(g, netlist, parasitics, &rec);
   flat_kernel::bind_wire_xw(g, wire_model, rec);

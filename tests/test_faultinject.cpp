@@ -250,7 +250,9 @@ TEST_F(FaultNetMcTest, FlatgraphCompileThrowSurfacesFaultInjectedError) {
 TEST_F(FaultNetMcTest, FlatgraphCompileCancelThrowsCancelledError) {
   install_fault_plan(FaultPlan::parse("flatgraph.compile@2=cancel"));
   CancellationToken token;
-  EXPECT_THROW(FlatTimingGraph::compile(netlist, &token), CancelledError);
+  ExecContext exec;
+  exec.cancel = &token;
+  EXPECT_THROW(FlatTimingGraph::compile(netlist, exec), CancelledError);
   EXPECT_TRUE(token.cancelled());
   // Null token: the cancel action still surfaces as CancelledError.
   EXPECT_THROW(FlatTimingGraph::compile(netlist), CancelledError);

@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +37,7 @@
 #include "liberty/synthlib.hpp"
 #include "sta/netmc.hpp"
 #include "sta/ssta_analytic.hpp"
+#include "util/threading.hpp"
 #include "reference_sta.hpp"
 #include "same_bits.hpp"
 
@@ -275,6 +277,108 @@ TEST(FlatGraph, CsrAdjacencyProperties) {
       }
     }
     EXPECT_EQ(connected, g.num_fanouts()) << name;
+  }
+}
+
+/// Where `name` starts in `g`'s name arena (net 0's name opens it).
+std::ptrdiff_t arena_offset(const FlatTimingGraph& g, std::string_view name) {
+  return name.data() - g.net_name(0).data();
+}
+
+/// The first accessor on which `a` and `b` differ, "" when none: sizes,
+/// provenance, boundary lists, every per-level, per-position, per-cell,
+/// per-arc, per-net and per-fanout array, and each interned name's bytes
+/// and arena offset.
+std::string graph_diff(const FlatTimingGraph& a, const FlatTimingGraph& b) {
+  using Id = FlatTimingGraph::Id;
+  const auto at = [](const char* what, Id i) {
+    return std::string(what) + "[" + std::to_string(i) + "]";
+  };
+  const auto same_name = [&](std::string_view x, std::string_view y) {
+    return x == y && arena_offset(a, x) == arena_offset(b, y);
+  };
+  if (a.num_cells() != b.num_cells() || a.num_nets() != b.num_nets() ||
+      a.num_levels() != b.num_levels() || a.num_arcs() != b.num_arcs() ||
+      a.num_fanouts() != b.num_fanouts()) {
+    return "sizes";
+  }
+  if (a.design_name() != b.design_name() ||
+      a.source_generation() != b.source_generation()) {
+    return "provenance";
+  }
+  if (a.primary_inputs() != b.primary_inputs()) return "primary_inputs";
+  if (a.primary_outputs() != b.primary_outputs()) return "primary_outputs";
+  for (Id l = 0; l < a.num_levels(); ++l) {
+    if (a.level_begin(l) != b.level_begin(l) ||
+        a.level_end(l) != b.level_end(l)) {
+      return at("level", l);
+    }
+  }
+  for (Id p = 0; p < a.num_cells(); ++p) {
+    if (a.cell_id(p) != b.cell_id(p)) return at("cell_id", p);
+    if (a.cell_out_net(p) != b.cell_out_net(p)) return at("cell_out_net", p);
+    if (a.cell_type(p) != b.cell_type(p)) return at("cell_type", p);
+    if (a.inverting(p) != b.inverting(p)) return at("inverting", p);
+    if (a.fanin_begin(p) != b.fanin_begin(p) ||
+        a.fanin_end(p) != b.fanin_end(p)) {
+      return at("fanin_begin", p);
+    }
+    if (!same_name(a.cell_name(p), b.cell_name(p))) return at("cell_name", p);
+    if (a.position_of_cell(p) != b.position_of_cell(p)) {
+      return at("position_of_cell", p);
+    }
+  }
+  for (Id arc = 0; arc < a.num_arcs(); ++arc) {
+    if (a.fanin_net(arc) != b.fanin_net(arc)) return at("fanin_net", arc);
+    if (a.fanin_sink(arc) != b.fanin_sink(arc)) return at("fanin_sink", arc);
+  }
+  for (Id n = 0; n < a.num_nets(); ++n) {
+    if (a.net_driver_pos(n) != b.net_driver_pos(n)) {
+      return at("net_driver_pos", n);
+    }
+    if (a.fanout_begin(n) != b.fanout_begin(n) ||
+        a.fanout_end(n) != b.fanout_end(n)) {
+      return at("fanout_begin", n);
+    }
+    if (!same_name(a.net_name(n), b.net_name(n))) return at("net_name", n);
+  }
+  for (Id f = 0; f < a.num_fanouts(); ++f) {
+    if (a.fanout_pos(f) != b.fanout_pos(f)) return at("fanout_pos", f);
+    if (a.fanout_pin(f) != b.fanout_pin(f)) return at("fanout_pin", f);
+    if (!same_name(a.sink_name(f), b.sink_name(f))) return at("sink_name", f);
+  }
+  return "";
+}
+
+// compile sizes and fills its arrays over the caller's lanes. Every array
+// and all three name arenas must match the 1-lane compile at 1/2/4/8 lanes
+// and grain 0/1; the 24k-cell design splits each fill pass into several
+// blocks even at the default grain.
+TEST(FlatGraph, CompileIsIdenticalAtEveryLaneAndGrain) {
+  const CellLibrary cells = CellLibrary::standard();
+  RandomNetlistSpec spec;
+  spec.target_cells = 24000;
+  spec.seed = 23;
+  std::vector<std::pair<const char*, GateNetlist>> designs;
+  designs.emplace_back("c17", build_c17(cells));
+  designs.emplace_back("C432-like", build_c432(cells));
+  designs.emplace_back("random-24k", generate_random_mapped(spec, cells));
+  ASSERT_GE(designs.back().second.num_cells(), 20000u);
+  ThreadPool pool(3);
+  for (const auto& [name, nl] : designs) {
+    ExecContext exec;
+    exec.pool = &pool;
+    exec.threads = 1;
+    const FlatTimingGraph ref = FlatTimingGraph::compile(nl, exec);
+    ASSERT_EQ(ref.num_cells(), nl.num_cells()) << name;
+    for (const unsigned lanes : {1u, 2u, 4u, 8u}) {
+      for (const std::size_t grain : {std::size_t{0}, std::size_t{1}}) {
+        exec.threads = lanes;
+        exec.grain = grain;
+        EXPECT_EQ(graph_diff(FlatTimingGraph::compile(nl, exec), ref), "")
+            << name << " @" << lanes << " lanes, grain " << grain;
+      }
+    }
   }
 }
 

@@ -8,7 +8,9 @@
 #include <cstring>
 #include <functional>
 #include <numbers>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -377,6 +379,55 @@ TEST(RcTreeShape, DefaultTreesAreRootOnlyAndIndependent) {
   const RcTree fresh;
   EXPECT_EQ(fresh.num_nodes(), 1);
   EXPECT_TRUE(fresh.sinks().empty());
+}
+
+/// True when `t` is root-only: one node with no parent, R, C or sinks.
+bool root_only(const RcTree& t) {
+  return t.num_nodes() == 1 && t.parent(0) == -1 && t.edge_res(0) == 0.0 &&
+         t.node_cap(0) == 0.0 && t.sinks().empty();
+}
+
+// Default trees share one root shape that holds no reference count, so
+// every call that writes a shape must copy it first, and threads copy and
+// drop default trees with no shared count to touch.
+TEST(RcTreeShape, DefaultTreesNeverWriteTheSharedRoot) {
+  const RcTree before;
+  RcTree t;
+  EXPECT_THROW(t.mark_sink(0, "root"), std::out_of_range);
+  t.add_node(0, 10.0, 1e-15);
+  t.mark_sink(1, "Z");
+  t = t.scaled(1.5, 0.5);
+  Rng rng(3);
+  t = t.perturbed(rng, 0.1, 1.05, 0.95);
+  EXPECT_EQ(t.num_nodes(), 2);
+  EXPECT_EQ(t.sinks().size(), 1u);
+  const RcTree plain;
+  EXPECT_TRUE(root_only(plain.scaled(2.0, 3.0)));
+  EXPECT_TRUE(root_only(plain.perturbed(rng, 0.1, 2.0, 3.0)));
+  const RcTree after;
+  for (const RcTree* d : {&before, &plain, &after}) {
+    EXPECT_TRUE(root_only(*d));
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<int> bad(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&bad, k] {
+      for (int i = 0; i < 2000; ++i) {
+        const RcTree fresh;
+        std::vector<RcTree> copies(8, fresh);
+        RcTree kept = copies[static_cast<std::size_t>(i % 8)];
+        copies.clear();
+        if (!root_only(kept)) ++bad[static_cast<std::size_t>(k)];
+        kept.add_node(0, 1.0, 1e-15);
+        if (!root_only(fresh)) ++bad[static_cast<std::size_t>(k)];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(bad, std::vector<int>(kThreads, 0));
+  EXPECT_TRUE(root_only(RcTree{}));
 }
 
 TEST(RcTreeShape, PoolThreadsCopyAnnotateAndPerturbOneTree) {

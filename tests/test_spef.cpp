@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -143,6 +146,62 @@ TEST(Spef, OverwriteNet) {
   small.add_node(0, 1.0, 1e-18);
   db.add("n", small);
   EXPECT_EQ(db.net("n").num_nodes(), 2);
+}
+
+// The name -> tree map is hashed, so its iteration order depends on how the
+// nets went in; to_spef sorts by name, so the text must not.
+TEST(Spef, ToSpefIsIndependentOfInsertionOrder) {
+  constexpr int kNets = 50;
+  const auto tree = [](int i) {
+    RcTree t;
+    const int a = t.add_node(0, 10.0 + i, (1 + i) * 1e-16);
+    t.add_node(a, 5.0 * i, 2e-16);
+    t.mark_sink(a, "u" + std::to_string(i) + ":0");
+    return t;
+  };
+  // "n10" sorts before "n2": name order is not insertion or number order.
+  const auto name = [](int i) { return "n" + std::to_string(i); };
+  std::vector<std::string> sorted;
+  for (int i = 0; i < kNets; ++i) sorted.push_back(name(i));
+  std::sort(sorted.begin(), sorted.end());
+
+  ParasiticDb in_order;
+  for (const std::string& n : sorted) {
+    in_order.add(n, tree(std::stoi(n.substr(1))));
+  }
+  ParasiticDb shuffled;  // 37 is coprime to 50: a permutation of 0..49
+  for (int k = 0; k < kNets; ++k) {
+    const int i = k * 37 % kNets;
+    shuffled.add(name(i), tree(i));
+  }
+  ParasiticDb reversed;
+  for (int i = kNets - 1; i >= 0; --i) reversed.add(name(i), tree(i));
+
+  const std::string text = in_order.to_spef("d");
+  EXPECT_EQ(shuffled.to_spef("d"), text);
+  EXPECT_EQ(reversed.to_spef("d"), text);
+  std::size_t last = 0;
+  for (const std::string& n : sorted) {
+    const std::size_t at = text.find("*D_NET " + n + " ");
+    ASSERT_NE(at, std::string::npos) << n;
+    EXPECT_GT(at, last) << n << " is out of name order";
+    last = at;
+  }
+
+  // find() on a view that is not a whole string: a hit and two misses.
+  const std::string buffer = "n17n1";
+  const RcTree* hit = shuffled.find(std::string_view(buffer).substr(0, 3));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit, &shuffled.net("n17"));
+  EXPECT_EQ(hit->edge_res(1), 27.0);
+  EXPECT_EQ(shuffled.find(std::string_view(buffer).substr(0, 4)), nullptr);
+  EXPECT_EQ(shuffled.find(std::string_view("n50")), nullptr);
+
+  // add() on a name already held replaces the tree and keeps the count.
+  ASSERT_EQ(shuffled.size(), static_cast<std::size_t>(kNets));
+  shuffled.add("n17", tree(3));
+  EXPECT_EQ(shuffled.size(), static_cast<std::size_t>(kNets));
+  EXPECT_EQ(shuffled.net("n17").edge_res(1), 13.0);
 }
 
 }  // namespace
