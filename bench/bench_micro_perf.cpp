@@ -647,11 +647,9 @@ std::string sweep_flatgraph(const Inputs& in, Record& rec) {
                 {"off_flat_seconds", off1.seconds},
                 {"flat_seconds", flat1.seconds},
                 {"legacy_seconds", legacy1.seconds},
-                {"on_off_ratio", flat1.seconds / off1.seconds},
                 {"off_flat_seconds_4t", off4.seconds},
                 {"flat_seconds_4t", flat4.seconds},
                 {"legacy_seconds_4t", legacy4.seconds},
-                {"on_off_ratio_4t", flat4.seconds / off4.seconds},
                 {"bit_identical", same}});
   }
 

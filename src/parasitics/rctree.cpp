@@ -7,11 +7,12 @@
 
 namespace nsdc {
 
-RcTree::RcTree() : cap_(1, 0.0) {
-  // Every root-only tree shares this shape, so defaults allocate only caps.
-  // The aliasing pointer has no control block: copying or dropping a
-  // default tree touches no count, and use_count() reads 0, so own_shape()
-  // copies the shape before any write and this one is never written.
+RcTree::RcTree() {
+  // Every root-only tree shares this shape and holds no caps, so defaults
+  // allocate nothing. The aliasing pointer has no control block: copying or
+  // dropping a default tree touches no count, and use_count() reads 0, so
+  // own_shape() copies the shape before any write and this one is never
+  // written.
   static Shape root{{-1}, {0.0}, {}};
   shape_ = std::shared_ptr<Shape>(std::shared_ptr<Shape>(), &root);
 }
@@ -30,6 +31,11 @@ RcTree::Shape& RcTree::own_shape() {
   return *shape_;
 }
 
+std::vector<double>& RcTree::own_caps() {
+  if (cap_.empty()) cap_.push_back(0.0);
+  return cap_;
+}
+
 int RcTree::add_node(int parent, double r_ohms, double c_farads) {
   if (parent < 0 || parent >= num_nodes()) {
     throw std::out_of_range("RcTree::add_node: bad parent");
@@ -37,15 +43,16 @@ int RcTree::add_node(int parent, double r_ohms, double c_farads) {
   if (!(r_ohms >= 0.0) || !(c_farads >= 0.0)) {
     throw std::invalid_argument("RcTree::add_node: negative R or C");
   }
+  std::vector<double>& cap = own_caps();
   Shape& s = own_shape();
   s.parent.push_back(parent);
   s.res.push_back(r_ohms);
-  cap_.push_back(c_farads);
+  cap.push_back(c_farads);
   return num_nodes() - 1;
 }
 
 void RcTree::add_cap(int node, double c_farads) {
-  cap_.at(static_cast<std::size_t>(node)) += c_farads;
+  own_caps().at(static_cast<std::size_t>(node)) += c_farads;
 }
 
 void RcTree::mark_sink(int node, std::string pin_name) {
@@ -186,10 +193,11 @@ double RcTree::d2m(int node) const {
 
 RcTree RcTree::scaled(double r_factor, double c_factor) const {
   RcTree t = *this;
+  std::vector<double>& cap = t.own_caps();
   std::vector<double>& res = t.own_shape().res;
   for (std::size_t i = 0; i < res.size(); ++i) {
     res[i] *= r_factor;
-    t.cap_[i] *= c_factor;
+    cap[i] *= c_factor;
   }
   return t;
 }
@@ -197,6 +205,7 @@ RcTree RcTree::scaled(double r_factor, double c_factor) const {
 RcTree RcTree::perturbed(Rng& rng, double sigma_local, double r_factor,
                          double c_factor) const {
   RcTree t = *this;
+  std::vector<double>& cap = t.own_caps();
   std::vector<double>& res = t.own_shape().res;
   auto local = [&] {
     const double z = rng.normal();
@@ -204,9 +213,9 @@ RcTree RcTree::perturbed(Rng& rng, double sigma_local, double r_factor,
   };
   for (std::size_t i = 1; i < res.size(); ++i) {
     res[i] *= r_factor * local();
-    t.cap_[i] *= c_factor * local();
+    cap[i] *= c_factor * local();
   }
-  t.cap_[0] *= c_factor;
+  cap[0] *= c_factor;
   return t;
 }
 
@@ -225,7 +234,7 @@ std::vector<NodeId> RcTree::build_spice(Circuit& ckt, NodeId root,
     ckt.add_resistor(ids[pi], ids[ni], std::max(shape_->res[ni], 0.1));
     if (cap_[ni] > 0.0) ckt.add_capacitor(ids[ni], kGround, cap_[ni]);
   }
-  if (cap_[0] > 0.0) ckt.add_capacitor(root, kGround, cap_[0]);
+  if (node_cap(0) > 0.0) ckt.add_capacitor(root, kGround, node_cap(0));
   return ids;
 }
 

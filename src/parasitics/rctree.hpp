@@ -12,8 +12,14 @@
 // caps alone, and the calls that change the shape give the tree its own
 // shape first whenever another tree still reaches it. Default (root-only)
 // trees share one process-wide shape that is not reference-counted, so
-// copying and destroying them does no atomic work. A moved-from tree holds
-// no shape: assign to it or destroy it, nothing else.
+// copying and destroying them does no atomic work, and they hold no caps:
+// an empty cap vector stands for the root's 0.0, so they allocate nothing
+// either. Every call that writes caps first materializes that {0.0}, then
+// runs the same arithmetic as on any other tree, so no value differs from
+// a tree that holds {0.0} (scaled and perturbed multiply the materialized
+// root cap, and total_cap() of no caps is +0.0, the bits of 0.0 + 0.0).
+// A moved-from tree holds no shape: assign to it or destroy it, nothing
+// else.
 
 #include <memory>
 #include <string>
@@ -41,14 +47,19 @@ class RcTree {
   /// Marks a node as a sink pin.
   void mark_sink(int node, std::string pin_name);
 
-  int num_nodes() const { return static_cast<int>(cap_.size()); }
+  int num_nodes() const {
+    return cap_.empty() ? 1 : static_cast<int>(cap_.size());
+  }
   int parent(int node) const {
     return shape_->parent.at(static_cast<std::size_t>(node));
   }
   double edge_res(int node) const {
     return shape_->res.at(static_cast<std::size_t>(node));
   }
-  double node_cap(int node) const { return cap_.at(static_cast<std::size_t>(node)); }
+  double node_cap(int node) const {
+    return cap_.empty() && node == 0 ? 0.0
+                                     : cap_.at(static_cast<std::size_t>(node));
+  }
 
   struct Sink {
     int node = 0;
@@ -100,9 +111,12 @@ class RcTree {
   /// its only count (never so for the uncounted default root); the only
   /// way to a writable shape.
   Shape& own_shape();
+  /// The caps, first materialized as the root's {0.0} when this tree holds
+  /// none; the only way to writable caps.
+  std::vector<double>& own_caps();
 
   std::shared_ptr<Shape> shape_;
-  std::vector<double> cap_;
+  std::vector<double> cap_;  ///< empty: root-only, root cap 0.0
 };
 
 }  // namespace nsdc

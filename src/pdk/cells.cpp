@@ -166,6 +166,13 @@ CellType::CellType(CellFunc func, int strength)
     : func_(func), strength_(strength) {
   if (strength < 1) throw std::invalid_argument("CellType: strength < 1");
   name_ = std::string(cell_func_name(func)) + "x" + std::to_string(strength);
+  pin_gates_.resize(static_cast<std::size_t>(num_inputs()));
+  for (const auto& fet : topology().fets) {
+    const int pin = static_cast<int>(fet.gate) - static_cast<int>(NetTag::kIn0);
+    if (pin < 0 || pin >= num_inputs()) continue;  // an internal net
+    pin_gates_[static_cast<std::size_t>(pin)].push_back(
+        {fet.w_units * static_cast<double>(strength_), fet.nmos});
+  }
 }
 
 int CellType::stack_count() const {
@@ -177,12 +184,9 @@ double CellType::input_cap(const TechParams& tech, int pin) const {
   if (pin < 0 || pin >= num_inputs()) {
     throw std::out_of_range("CellType::input_cap: bad pin");
   }
-  const NetTag want = static_cast<NetTag>(static_cast<int>(NetTag::kIn0) + pin);
   double cap = 0.0;
-  for (const auto& fet : topology().fets) {
-    if (fet.gate != want) continue;
-    const double w = fet.w_units * static_cast<double>(strength_) *
-                     (fet.nmos ? tech.w_min_n : tech.w_min_p);
+  for (const GateFet& fet : pin_gates_[static_cast<std::size_t>(pin)]) {
+    const double w = fet.w_strength * (fet.nmos ? tech.w_min_n : tech.w_min_p);
     cap += tech.cox_per_area * w * tech.l_min +
            2.0 * tech.c_overlap_per_width * w;
   }

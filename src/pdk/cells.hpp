@@ -63,16 +63,28 @@ class CellType {
   /// Paper Eq. 5 "number of stacked transistors" n — the worst stack depth.
   int stack_count() const;
 
-  /// Total gate capacitance presented by one input pin (F).
+  /// Total gate capacitance presented by one input pin (F): over the FETs
+  /// the pin gates, in topology order, cox*W*L + 2*c_overlap*W with
+  /// W = w_units * strength * w_min of the device type, folded over the
+  /// gate list the constructor records for the pin. Throws
+  /// std::out_of_range for a pin outside [0, num_inputs()).
   double input_cap(const TechParams& tech, int pin) const;
 
   /// Nominal output-stage drive resistance estimate (for tstop heuristics).
   double drive_resistance_estimate(const TechParams& tech) const;
 
  private:
+  /// One FET gated by an input pin: w_units * strength, and its type.
+  struct GateFet {
+    double w_strength;
+    bool nmos;
+  };
+
   CellFunc func_;
   int strength_;
   std::string name_;
+  /// Per input pin, the FETs it gates in topology order.
+  std::vector<std::vector<GateFet>> pin_gates_;
 };
 
 /// The full characterized library (6 functions x strengths 1/2/4/8).

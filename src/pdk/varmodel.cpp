@@ -37,9 +37,4 @@ double VariationModel::sample_mu_factor_local(Rng& rng, double w,
   return std::max(0.2, 1.0 + sigma * z);
 }
 
-double VariationModel::sample_wire_local_factor(Rng& rng) const {
-  const double z = std::clamp(rng.normal(), -4.0, 4.0);
-  return std::max(0.3, 1.0 + tech_.sigma_wire_local * z);
-}
-
 }  // namespace nsdc

@@ -39,9 +39,6 @@ class VariationModel {
   /// to keep the multiplier positive.
   double sample_mu_factor_local(Rng& rng, double w, double l) const;
 
-  /// Per-segment local wire R or C multiplier.
-  double sample_wire_local_factor(Rng& rng) const;
-
  private:
   TechParams tech_;
 };

@@ -78,7 +78,6 @@ class Circuit {
   /// Creates a new node and returns its id (>= 1).
   NodeId make_node(std::string name = {});
   int num_nodes() const { return static_cast<int>(node_names_.size()); }
-  const std::string& node_name(NodeId n) const { return node_names_.at(static_cast<std::size_t>(n)); }
 
   void add_resistor(NodeId a, NodeId b, double ohms);
   void add_capacitor(NodeId a, NodeId b, double farads);

@@ -97,10 +97,20 @@ void bind_arc_records(const FlatTimingGraph& graph,
     for (Id arc = graph.fanin_begin(pos); arc < graph.fanin_end(pos); ++arc) {
       rec.arc_model[0][arc] = h[0];
       rec.arc_model[1][arc] = h[1];
-      const Id fan = graph.fanin_net(arc);
-      if (fan == FlatTimingGraph::kNoId) continue;
-      bind_wire_record(res.annotated[fan],
-                       graph.sink_name(graph.fanin_sink(arc)), arc, rec);
+    }
+  });
+
+  // Wire records per net, so each annotated tree is read once for all of
+  // its sinks. Every connected arc is exactly one fanout entry of its fanin
+  // net (the fanin_sink bijection), so each slot is written once; the arcs
+  // of unconnected pins keep the 0 / 0.0 assigned above.
+  exec.parallel_for(graph.num_nets(), [&](std::size_t n) {
+    const Id net = static_cast<Id>(n);
+    for (Id f = graph.fanout_begin(net); f < graph.fanout_end(net); ++f) {
+      bind_wire_record(res.annotated[n], graph.sink_name(f),
+                       graph.fanin_begin(graph.fanout_pos(f)) +
+                           graph.fanout_pin(f),
+                       rec);
     }
   });
 }

@@ -52,7 +52,8 @@ std::array<const CellArcModel*, 2> resolve_arc_models(
 
 /// Resolves charlib handles (one resolution per CellType, fanned out to
 /// every arc) and precomputes per-arc Elmore delays from the annotated
-/// trees in `res`. Call after annotation, before propagation.
+/// trees in `res`, net by net over each net's fanout entries. Call after
+/// annotation, before propagation.
 void bind_arc_records(const FlatTimingGraph& graph,
                       const NSigmaCellModel& model,
                       const StaEngine::Result& res, const ExecContext& exec,

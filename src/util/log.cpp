@@ -23,8 +23,6 @@ const char* level_name(LogLevel level) {
 
 void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level)); }
 
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
-
 void log_message(LogLevel level, const std::string& msg) {
   if (static_cast<int>(level) < g_level.load()) return;
   std::lock_guard<std::mutex> lock(g_mutex);

@@ -11,7 +11,6 @@ enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff =
 
 /// Sets the global minimum level that will be emitted.
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// Emits a single log line (thread-safe) if `level` passes the filter.
 void log_message(LogLevel level, const std::string& msg);
@@ -39,6 +38,5 @@ class LogLine {
 inline detail::LogLine log_debug() { return detail::LogLine(LogLevel::kDebug); }
 inline detail::LogLine log_info() { return detail::LogLine(LogLevel::kInfo); }
 inline detail::LogLine log_warn() { return detail::LogLine(LogLevel::kWarn); }
-inline detail::LogLine log_error() { return detail::LogLine(LogLevel::kError); }
 
 }  // namespace nsdc

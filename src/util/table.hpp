@@ -25,9 +25,6 @@ class Table {
   void add_row_numeric(const std::string& label,
                        const std::vector<double>& values, int digits = 3);
 
-  std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return header_.size(); }
-
   /// Returns a cell (row index excludes the header).
   const std::string& cell(std::size_t row, std::size_t col) const;
 

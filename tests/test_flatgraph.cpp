@@ -507,6 +507,125 @@ TEST(FlatGraphIdentity, BoundRecordsMatchNameKeyedLookups) {
   }
 }
 
+/// bind_arc_records as it was before it bound wire records per net: one
+/// pass over positions, each arc reading its fanin net's tree at its
+/// fanin_sink name. Kept as the oracle.
+FlatArcRecords bind_per_position(const FlatTimingGraph& g,
+                                 const NSigmaCellModel& model,
+                                 const StaEngine::Result& res) {
+  using Id = FlatTimingGraph::Id;
+  FlatArcRecords rec;
+  rec.arc_model[0].assign(g.num_arcs(), nullptr);
+  rec.arc_model[1].assign(g.num_arcs(), nullptr);
+  rec.elmore.assign(g.num_arcs(), 0.0);
+  rec.has_tree.assign(g.num_arcs(), 0);
+  for (Id pos = 0; pos < g.num_cells(); ++pos) {
+    const auto h = flat_kernel::resolve_arc_models(model, *g.cell_type(pos));
+    for (Id arc = g.fanin_begin(pos); arc < g.fanin_end(pos); ++arc) {
+      rec.arc_model[0][arc] = h[0];
+      rec.arc_model[1][arc] = h[1];
+      const Id fan = g.fanin_net(arc);
+      if (fan == FlatTimingGraph::kNoId) continue;
+      const RcTree& tree = res.annotated[fan];
+      const bool wired = tree.num_nodes() > 1;
+      rec.has_tree[arc] = wired ? 1 : 0;
+      rec.elmore[arc] =
+          wired ? tree.elmore(tree.sink_node(g.sink_name(g.fanin_sink(arc))))
+                : 0.0;
+    }
+  }
+  return rec;
+}
+
+/// "" when `a` and `b` hold the same handles, flags and Elmore bits, else
+/// the first differing field with its arc.
+std::string records_diff(const FlatArcRecords& a, const FlatArcRecords& b) {
+  if (a.elmore.size() != b.elmore.size()) return "size";
+  if (a.xw.size() != b.xw.size()) return "xw.size";
+  for (std::size_t arc = 0; arc < a.elmore.size(); ++arc) {
+    const std::string at = "[" + std::to_string(arc) + "]";
+    for (std::size_t e = 0; e < 2; ++e) {
+      if (a.arc_model[e].size() != b.arc_model[e].size()) return "arc_model";
+      if (a.arc_model[e][arc] != b.arc_model[e][arc]) {
+        return "arc_model[" + std::to_string(e) + "]" + at;
+      }
+    }
+    if (a.has_tree.at(arc) != b.has_tree.at(arc)) return "has_tree" + at;
+    if (!same_bits(a.elmore[arc], b.elmore[arc])) return "elmore" + at;
+  }
+  return "";
+}
+
+/// Net `n1` feeds both pins of u2, u3's pin 1 is unconnected, `n3` has no
+/// parasitic tree (the fixture drops it) and `po` is a PO with no sinks.
+GateNetlist build_bind_corners(const CellLibrary& cells) {
+  GateNetlist nl("bind_corners");
+  const int a = nl.add_primary_input("a");
+  const int b = nl.add_primary_input("b");
+  const CellType& nand = cells.by_name("NAND2x1");
+  const auto out = [&nl](int cell) { return nl.cell(cell).out_net; };
+  const int n1 = out(nl.add_cell("u1", nand, {a, b}, "n1"));
+  const int n2 = out(nl.add_cell("u2", nand, {n1, n1}, "n2"));
+  const int u3 = nl.add_cell("u3", nand, {n2, b}, "n3");
+  nl.rewire_fanin(u3, 1, -1);
+  const int n4 = out(nl.add_cell("u4", nand, {out(u3), n2}, "n4"));
+  nl.mark_primary_output(n4);
+  nl.mark_primary_output(
+      out(nl.add_cell("u5", cells.by_name("INVx2"), {n1}, "po")));
+  return nl;
+}
+
+// bind_arc_records binds wire records per net, over each net's fanout
+// entries; the per-position loop it replaced is the oracle, at 1 and 4
+// lanes, on c17, the C432-like design and the crafted corner cases.
+TEST(FlatGraphIdentity, BindArcRecordsPerNetMatchesThePerPositionLoop) {
+  const std::vector<std::pair<std::string, BuildFn>> designs = {
+      {"c17", &build_c17},
+      {"C432-like", &build_c432},
+      {"bind-corners", &build_bind_corners}};
+  ThreadPool pool(3);
+  for (const auto& [name, build] : designs) {
+    DesignFixture fx(build);
+    if (name == "bind-corners") {
+      ParasiticDb kept;
+      for (const auto& [net, tree] : fx.spef.all()) {
+        if (net != "n3") kept.add(net, tree);
+      }
+      ASSERT_EQ(kept.size() + 1, fx.spef.size());
+      fx.spef = kept;
+    }
+    const FlatTimingGraph g = FlatTimingGraph::compile(fx.nl);
+    const StaEngine::Result res =
+        StaEngine(fx.model, fx.tech).run(g, fx.nl, fx.spef);
+    const FlatArcRecords want = bind_per_position(g, fx.model, res);
+    std::size_t wired = 0;
+    for (const std::uint8_t t : want.has_tree) wired += t;
+    EXPECT_GT(wired, 0u) << name;
+    for (const unsigned lanes : {1u, 4u}) {
+      ExecContext exec;
+      exec.pool = &pool;
+      exec.threads = lanes;
+      FlatArcRecords got;
+      flat_kernel::bind_arc_records(g, fx.model, res, exec, got);
+      EXPECT_EQ(records_diff(got, want), "") << name << " @" << lanes;
+    }
+    if (name != "bind-corners") continue;
+    // The corners are really there: a doubled sink, an unconnected arc, a
+    // sunk net with a root-only tree and a PO net with no fanout entry.
+    const auto net_id = [&](const char* n) {
+      return static_cast<FlatTimingGraph::Id>(fx.nl.find_net(n));
+    };
+    EXPECT_EQ(g.fanout_end(net_id("n1")) - g.fanout_begin(net_id("n1")), 3u);
+    const FlatTimingGraph::Id u3 =
+        g.position_of_cell(static_cast<FlatTimingGraph::Id>(2));
+    EXPECT_EQ(g.fanin_net(g.fanin_begin(u3) + 1), FlatTimingGraph::kNoId);
+    EXPECT_EQ(res.annotated[net_id("n3")].num_nodes(), 1);
+    EXPECT_GT(g.fanout_end(net_id("n3")), g.fanout_begin(net_id("n3")));
+    EXPECT_EQ(g.fanout_end(net_id("po")), g.fanout_begin(net_id("po")));
+    EXPECT_GT(res.annotated[net_id("po")].num_nodes(), 1);
+  }
+}
+
 // ------------------------------------------------ C432 goldens
 
 /// Compares `rows` (a name column, then numbers) against a golden CSV at

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "pdk/cellgen.hpp"
 #include "pdk/cells.hpp"
@@ -63,6 +65,51 @@ TEST(CellType, InputCapPinBounds) {
   EXPECT_GT(nand2.input_cap(tech, 1), 0.0);
   EXPECT_THROW(nand2.input_cap(tech, 2), std::out_of_range);
   EXPECT_THROW(nand2.input_cap(tech, -1), std::out_of_range);
+}
+
+/// input_cap as it was before the per-pin gate lists: a scan over every
+/// FET of the topology, kept as the oracle.
+double input_cap_full_scan(const CellType& c, const TechParams& tech,
+                           int pin) {
+  const NetTag want = static_cast<NetTag>(static_cast<int>(NetTag::kIn0) + pin);
+  double cap = 0.0;
+  for (const auto& fet : c.topology().fets) {
+    if (fet.gate != want) continue;
+    const double w = fet.w_units * static_cast<double>(c.strength()) *
+                     (fet.nmos ? tech.w_min_n : tech.w_min_p);
+    cap += tech.cox_per_area * w * tech.l_min +
+           2.0 * tech.c_overlap_per_width * w;
+  }
+  return cap;
+}
+
+TEST(CellType, InputCapMatchesTheFullFetScan) {
+  // A second process whose widths, length and cap densities all differ,
+  // so no term of the fold can hide behind a nominal value.
+  TechParams other = TechParams::nominal28();
+  other.w_min_n = 117e-9;
+  other.w_min_p = 193e-9;
+  other.l_min = 27e-9;
+  other.cox_per_area = 0.0313;
+  other.c_overlap_per_width = 0.27e-9;
+  const CellLibrary lib = CellLibrary::standard();
+  std::vector<CellType> cells(lib.cells().begin(), lib.cells().end());
+  cells.emplace_back(CellFunc::kAoi21, 3);  // built outside the library
+  cells.emplace_back(CellFunc::kBuf, 16);
+  for (const TechParams& tech : {TechParams::nominal28(), other}) {
+    for (const CellType& c : cells) {
+      for (int pin = 0; pin < c.num_inputs(); ++pin) {
+        const double got = c.input_cap(tech, pin);
+        const double want = input_cap_full_scan(c, tech, pin);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << c.name() << " pin " << pin << ": " << got << " vs " << want;
+        EXPECT_GT(got, 0.0) << c.name() << " pin " << pin;
+      }
+      EXPECT_THROW(c.input_cap(tech, -1), std::out_of_range) << c.name();
+      EXPECT_THROW(c.input_cap(tech, c.num_inputs()), std::out_of_range)
+          << c.name();
+    }
+  }
 }
 
 TEST(CellType, DriveResistanceFallsWithStrength) {

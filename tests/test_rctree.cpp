@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 #include <string>
@@ -379,6 +380,66 @@ TEST(RcTreeShape, DefaultTreesAreRootOnlyAndIndependent) {
   const RcTree fresh;
   EXPECT_EQ(fresh.num_nodes(), 1);
   EXPECT_TRUE(fresh.sinks().empty());
+}
+
+/// Every value a root-only tree exposes, then the same for the trees
+/// scaled() and perturbed() derive from it, and one draw of the Rng those
+/// perturbed() calls shared: one vector, compared by memcmp.
+std::vector<double> root_only_values(const RcTree& t) {
+  const auto own = [](const RcTree& u) {
+    return std::vector<double>{u.node_cap(0), u.total_cap(), u.elmore(0),
+                               u.second_moment(0), u.d2m(0), u.edge_res(0),
+                               static_cast<double>(u.num_nodes())};
+  };
+  std::vector<double> v = own(t);
+  Rng rng(17);
+  for (const RcTree& d :
+       {t.scaled(2.0, -1.0),
+        t.scaled(1.0, std::numeric_limits<double>::quiet_NaN()),
+        t.perturbed(rng, 0.1, 1.05, 0.95), t.perturbed(rng, 0.1, 1.0, -2.0)}) {
+    const std::vector<double> dv = own(d);
+    v.insert(v.end(), dv.begin(), dv.end());
+  }
+  v.push_back(rng.normal());
+  return v;
+}
+
+// A default tree holds no caps. add_cap(0, 0.0) materializes {0.0}, the
+// caps every default tree held before, so the materialized tree is the
+// oracle: the default tree, a copy of it, and every tree scaled() and
+// perturbed() derive from them must carry its bits (-0.0 and NaN roots
+// included).
+TEST(RcTreeShape, DefaultTreeMatchesAMaterializedRootBitForBit) {
+  const RcTree fresh;
+  const RcTree copy = fresh;
+  const RcTree materialized = [] {
+    RcTree t;
+    t.add_cap(0, 0.0);
+    return t;
+  }();
+  const std::vector<double> want = root_only_values(materialized);
+  EXPECT_TRUE(same_doubles(root_only_values(fresh), want));
+  EXPECT_TRUE(same_doubles(root_only_values(copy), want));
+  for (const RcTree* t : {&fresh, &copy, &materialized}) {
+    EXPECT_THROW(t->node_cap(1), std::out_of_range);
+    EXPECT_THROW(t->node_cap(-1), std::out_of_range);
+  }
+
+  RcTree written = copy;
+  written.add_cap(0, 1.5e-15);
+  EXPECT_EQ(written.node_cap(0), 1.5e-15);
+  EXPECT_EQ(written.total_cap(), 1.5e-15);
+  EXPECT_TRUE(same_doubles(root_only_values(copy), want));
+  EXPECT_TRUE(same_doubles(root_only_values(fresh), want));
+
+  // The root is the driving pin's own node: a root-only tree adds no element.
+  for (const RcTree* t : {&fresh, &materialized}) {
+    Circuit ckt;
+    const NodeId root = ckt.make_node("drv");
+    EXPECT_EQ(t->build_spice(ckt, root, 0.6), std::vector<NodeId>{root});
+    EXPECT_TRUE(ckt.capacitors().empty());
+    EXPECT_TRUE(ckt.resistors().empty());
+  }
 }
 
 /// True when `t` is root-only: one node with no parent, R, C or sinks.

@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
 # Builds the concurrency/numeric test subset under each requested sanitizer
 # and runs it. The parallel STA engine and the Monte-Carlo loops are the
-# intentionally-concurrent code (tsan); the parsers, lint rules, and numeric
-# kernels are what asan/ubsan sweep. The static-analysis suite (interval
-# propagation, verify-engines gate) runs as a second pass via its ctest
-# label so new analysis tests are picked up without touching the regex.
+# intentionally-concurrent code (tsan); the parsers, lint rules, cell pin
+# caps and numeric kernels are what asan/ubsan sweep. The static-analysis
+# suite (interval propagation, verify-engines gate) runs as a second pass
+# via its ctest label so new analysis tests are picked up without touching
+# the regex.
 #
 # Usage: tools/run_sanitizers.sh [tsan|asan|ubsan ...] [-R regex]
 #   With no sanitizer arguments all three run in sequence.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REGEX="Threading|ThreadPool|ParallelFor|Sta|NetMc|Netlist|GoldenSta|PathDelay|Lint|Spef|Bench|Incremental|Mutator|Fault|CancellationToken|Moments|Ssta|FlatGraph|Serve|Wire|Argparse|CliValidation|CliGolden|Dist|RetryPolicy|RcTree|DesignGen|Quantile"
+REGEX="Threading|ThreadPool|ParallelFor|Sta|NetMc|Netlist|GoldenSta|PathDelay|Lint|Spef|Bench|Incremental|Mutator|Fault|CancellationToken|Moments|Ssta|FlatGraph|Serve|Wire|Argparse|CliValidation|CliGolden|Dist|RetryPolicy|RcTree|DesignGen|Quantile|CellType"
 SANS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -26,7 +27,7 @@ TARGETS=(test_util test_threading test_netlist test_sta test_netmc
          test_pathdelay test_golden_sta test_lint test_incremental
          test_spef test_benchio test_faultinject test_moments
          test_ssta_analytic test_analysis test_flatgraph test_serve
-         test_dist test_rctree test_designgen test_quantiles)
+         test_dist test_rctree test_designgen test_quantiles test_pdk)
 
 for SAN in "${SANS[@]}"; do
   echo "=== ${SAN} ==="
