@@ -93,13 +93,13 @@ std::optional<StageResult> StageSimulator::run(const StageConfig& config,
 
   for (int attempt = 0; attempt < 3; ++attempt, window *= 3.0) {
     Circuit ckt;
-    const NodeId vdd_node = ckt.make_node("vdd");
+    const NodeId vdd_node = ckt.make_node();
     ckt.add_vsource(vdd_node, kGround, Pwl::constant(vdd));
     ckt.set_initial_voltage(vdd_node, vdd);
 
     // ---- switching input ----
     const double v_start = config.in_rising ? 0.0 : vdd;
-    NodeId in_node = ckt.make_node("in");
+    NodeId in_node = ckt.make_node();
     if (config.input_wave) {
       // Shift the previous-stage waveform so its departure point sits at t0.
       ckt.add_vsource(in_node, kGround,
@@ -140,7 +140,7 @@ std::optional<StageResult> StageSimulator::run(const StageConfig& config,
         driver_ins[static_cast<std::size_t>(p)] = in_node;
         continue;
       }
-      const NodeId n = ckt.make_node("side" + std::to_string(p));
+      const NodeId n = ckt.make_node();
       const double v = side[static_cast<std::size_t>(p)] * vdd;
       ckt.add_vsource(n, kGround, Pwl::constant(v));
       ckt.set_initial_voltage(n, v);
@@ -179,7 +179,7 @@ std::optional<StageResult> StageSimulator::run(const StageConfig& config,
           rins[static_cast<std::size_t>(p)] = attach;
           continue;
         }
-        const NodeId n = ckt.make_node("rside");
+        const NodeId n = ckt.make_node();
         const double v = rside[static_cast<std::size_t>(p)] * vdd;
         ckt.add_vsource(n, kGround, Pwl::constant(v));
         ckt.set_initial_voltage(n, v);

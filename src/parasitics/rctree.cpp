@@ -224,7 +224,7 @@ std::vector<NodeId> RcTree::build_spice(Circuit& ckt, NodeId root,
   std::vector<NodeId> ids(static_cast<std::size_t>(num_nodes()));
   ids[0] = root;
   for (int n = 1; n < num_nodes(); ++n) {
-    ids[static_cast<std::size_t>(n)] = ckt.make_node("rc" + std::to_string(n));
+    ids[static_cast<std::size_t>(n)] = ckt.make_node();
     ckt.set_initial_voltage(ids[static_cast<std::size_t>(n)], initial_v);
   }
   for (int n = 1; n < num_nodes(); ++n) {

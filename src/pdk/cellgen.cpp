@@ -15,7 +15,7 @@ NodeId CellNetlister::instantiate(Circuit& ckt, const CellType& cell,
   }
   const CellTopology& topo = cell.topology();
 
-  const NodeId out = ckt.make_node(cell.name() + "_out");
+  const NodeId out = ckt.make_node();
   // Pre-set a plausible initial output level is the caller's business
   // (depends on the input vector); default stays 0.
 
@@ -26,10 +26,10 @@ NodeId CellNetlister::instantiate(Circuit& ckt, const CellType& cell,
       case NetTag::kVdd: return vdd_node;
       case NetTag::kOut: return out;
       case NetTag::kInt1:
-        if (int1 < 0) int1 = ckt.make_node(cell.name() + "_i1");
+        if (int1 < 0) int1 = ckt.make_node();
         return int1;
       case NetTag::kInt2:
-        if (int2 < 0) int2 = ckt.make_node(cell.name() + "_i2");
+        if (int2 < 0) int2 = ckt.make_node();
         return int2;
       case NetTag::kIn0: return inputs[0];
       case NetTag::kIn1: return inputs[1];

@@ -64,16 +64,12 @@ MosEval mos_eval(const MosParams& p, double vd, double vg, double vs) {
 }
 
 Circuit::Circuit() {
-  node_names_.push_back("0");  // ground
-  initial_voltage_.push_back(0.0);
+  initial_voltage_.push_back(0.0);  // ground
 }
 
-NodeId Circuit::make_node(std::string name) {
-  const NodeId id = static_cast<NodeId>(node_names_.size());
-  if (name.empty()) name = "n" + std::to_string(id);
-  node_names_.push_back(std::move(name));
+NodeId Circuit::make_node() {
   initial_voltage_.push_back(0.0);
-  return id;
+  return static_cast<NodeId>(initial_voltage_.size() - 1);
 }
 
 void Circuit::check_node(NodeId n) const {

@@ -7,7 +7,6 @@
 // because near-threshold delay variability comes from the exponential
 // sensitivity of the drain current to Vth in weak/moderate inversion.
 
-#include <string>
 #include <vector>
 
 #include "spice/waveform.hpp"
@@ -76,8 +75,8 @@ class Circuit {
   Circuit();
 
   /// Creates a new node and returns its id (>= 1).
-  NodeId make_node(std::string name = {});
-  int num_nodes() const { return static_cast<int>(node_names_.size()); }
+  NodeId make_node();
+  int num_nodes() const { return static_cast<int>(initial_voltage_.size()); }
 
   void add_resistor(NodeId a, NodeId b, double ohms);
   void add_capacitor(NodeId a, NodeId b, double farads);
@@ -97,8 +96,7 @@ class Circuit {
  private:
   void check_node(NodeId n) const;
 
-  std::vector<std::string> node_names_;
-  std::vector<double> initial_voltage_;
+  std::vector<double> initial_voltage_;  ///< one per node, ground included
   std::vector<Resistor> resistors_;
   std::vector<Capacitor> capacitors_;
   std::vector<VSource> vsources_;

@@ -809,32 +809,58 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
   // Finished PO worst edges wait here until every lower PO has been folded
   // into `circuit`, so the circuit max folds in ascending PO order.
   std::vector<ssta::Arrival> po_worst(n_pos);
-  std::size_t n_folded = 0;
   ssta::Arrival circuit;
   std::size_t live = 0;  // local entries held by arr and po_worst
-  const auto barrier = [&](std::size_t b) {
-    const std::vector<std::size_t>& finished = po_at[b];
-    exec.parallel_for(finished.size(), [&](std::size_t i) {
-      const std::size_t p = finished[i];
-      const auto po = static_cast<std::size_t>(po_nets[p]);
-      ssta::Arrival& worst = po_worst[p];
-      worst = arr[2 * po];
-      ssta::Arrival::stat_max_into(worst, arr[2 * po + 1]);
-      out.po_moments[p] = worst.moments();
-      out.po_quantiles[p] = cf_sigma_quantiles(out.po_moments[p]);
-    });
-    for (const std::size_t p : finished) live += po_worst[p].local.size();
-    for (; n_folded < n_pos &&
-           written_at[static_cast<std::size_t>(po_nets[n_folded])] <= b;
-         ++n_folded) {
-      ssta::Arrival& worst = po_worst[n_folded];
-      live -= worst.local.size();
-      if (n_folded == 0) {
+  // POs [fold_begin, fold_end) wait for the circuit fold; they hold
+  // fold_live local entries, counted in `live` until the fold ends.
+  std::size_t fold_begin = 0;
+  std::size_t fold_end = 0;
+  std::size_t fold_live = 0;
+  const auto fold_circuit = [&] {
+    for (; fold_begin < fold_end; ++fold_begin) {
+      ssta::Arrival& worst = po_worst[fold_begin];
+      if (fold_begin == 0) {
         circuit = std::move(worst);
       } else {
         ssta::Arrival::stat_max_into(circuit, worst);
       }
       worst = ssta::Arrival{};
+    }
+  };
+  const auto barrier = [&](std::size_t b) {
+    const std::vector<std::size_t>& finished = po_at[b];
+    const auto net_of = [&](std::size_t p) {
+      return static_cast<std::size_t>(po_nets[p]);
+    };
+    // A PO net that no later level reads hands its rise arrival over to
+    // the worst edge instead of copying it; those entries leave `arr`.
+    for (const std::size_t p : finished) {
+      const std::size_t po = net_of(p);
+      if (last_read_at[po] == b) live -= arr[2 * po].local.size();
+    }
+    exec.parallel_for_claimed(finished.size(), [&](std::size_t i) {
+      const std::size_t p = finished[i];
+      const std::size_t po = net_of(p);
+      ssta::Arrival& worst = po_worst[p];
+      if (last_read_at[po] == b) {
+        worst = std::exchange(arr[2 * po], ssta::Arrival{});
+      } else {
+        worst = arr[2 * po];
+      }
+      ssta::Arrival::stat_max_into(worst, arr[2 * po + 1]);
+      out.po_moments[p] = worst.moments();
+      out.po_quantiles[p] = cf_sigma_quantiles(out.po_moments[p]);
+    });
+    for (const std::size_t p : finished) live += po_worst[p].local.size();
+    for (; fold_end < n_pos && written_at[net_of(fold_end)] <= b;
+         ++fold_end) {
+      fold_live += po_worst[fold_end].local.size();
+    }
+    // The circuit max is a strictly ordered fold, so it cannot be split;
+    // it runs beside the next level's tasks, or here after the last level.
+    if (b == n_levels) {
+      fold_circuit();
+      live -= std::exchange(fold_live, 0);
     }
     out.peak_live_locals = std::max(out.peak_live_locals, live);
     for (const std::size_t n : release_at[b]) {
@@ -851,8 +877,16 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
     fault_fire("ssta.level", li, token);
     exec.check_cancel();
     const std::size_t task_end = sys.level_end[li];
-    exec.parallel_for(task_end - task_begin, [&](std::size_t i) {
-      const StatTask& t = sys.tasks[task_begin + i];
+    // Item 0 folds the POs the last barrier released into the circuit max
+    // while the other lanes claim this level's tasks.
+    const std::size_t folds = fold_begin < fold_end ? 1 : 0;
+    const std::size_t items = folds + task_end - task_begin;
+    exec.parallel_for_claimed(items, [&](std::size_t i) {
+      if (i < folds) {
+        fold_circuit();
+        return;
+      }
+      const StatTask& t = sys.tasks[task_begin + i - folds];
       const StatArc* arcs = &sys.arcs[t.first_arc];
       const std::size_t cell_local = cell_pos[t.cell];
       const std::size_t rekey = net_pos[t.out_slot / 2];
@@ -912,6 +946,9 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
     for (std::size_t i = task_begin; i < task_end; ++i) {
       live += arr[sys.tasks[i].out_slot].local.size();
     }
+    // The folded POs were held while this level's outputs were written.
+    out.peak_live_locals = std::max(out.peak_live_locals, live);
+    live -= std::exchange(fold_live, 0);
     barrier(li + 1);
     task_begin = task_end;
   }

@@ -43,13 +43,22 @@
 // stage collapses to its nominal delay and the propagated arrivals equal
 // the mean engine's (and a 1-sample MC's) to the last bit.
 //
+// Scheduling: each level is one ExecContext::parallel_for_claimed job,
+// whose lanes claim the (cell, edge) tasks one at a time, since task cost
+// follows cone span. The barrier's per-PO worst-edge folds are claimed the
+// same way. The circuit max is a strictly ordered fold over PO ids, so it
+// is never split: the POs a barrier releases fold as item 0 of the next
+// level's job while the other lanes run that level's tasks, and the last
+// barrier folds inline.
+//
 // Memory: a local vector spans its fanin cone's topological index range,
 // so holding every arrival to the end would cost O(cells^2). A net's
 // arrivals are released at the barrier of the last level that reads them,
-// and each PO's worst edge folds into the circuit max as soon as every
-// lower PO id has, so only the arrivals crossing a level cut stay live
-// (Result::peak_live_locals). Every fold takes the same inputs in the same
-// order either way.
+// a PO net that no later level reads hands its rise arrival to its worst
+// edge instead of copying it, and each PO's worst edge folds into the
+// circuit max as soon as every lower PO id has, so only the arrivals
+// crossing a level cut stay live (Result::peak_live_locals). Every fold
+// takes the same inputs in the same order either way.
 
 #include <array>
 #include <cstddef>
@@ -263,10 +272,11 @@ class AnalyticSsta {
     Moments worst_po_moments;
     std::array<double, 7> worst_po_quantiles{};
     std::size_t levels = 0;  ///< levelized barriers traversed
-    /// Most `local` entries (40 bytes each) held at any level barrier:
-    /// net-edge arrivals that a later level or PO fold still reads, plus PO
-    /// worst-edge arrivals waiting for the circuit fold. Depends on the
-    /// netlist alone, not on the thread count.
+    /// Most `local` entries (40 bytes each) held at any level barrier or
+    /// at the end of any level's job: net-edge arrivals that a later level
+    /// or PO fold still reads, plus PO worst-edge arrivals waiting for the
+    /// circuit fold, each counted until the level job that folds it ends.
+    /// Depends on the netlist alone, not on the thread count.
     std::size_t peak_live_locals = 0;
     double runtime_seconds = 0.0;
   };

@@ -1,6 +1,7 @@
 #include "util/exec.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/argparse.hpp"
 
@@ -65,6 +66,32 @@ unsigned ExecContext::parallel_for(
         for (std::size_t i = begin; i < end; ++i) {
           if (token != nullptr) token->throw_if_cancelled();
           fn(i);
+        }
+      });
+}
+
+unsigned ExecContext::parallel_for_claimed(
+    std::size_t count, const std::function<void(std::size_t)>& fn) const {
+  if (count == 0) return 0;
+  // One pool block per lane; each block claims indices one at a time, so a
+  // lane that drew a long item does not hold back the items behind it.
+  const std::size_t lanes =
+      std::min<std::size_t>(std::max(1u, resolved_threads()), count);
+  CancellationToken* token = cancel;
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  return pool_of(*this).run_blocks(
+      lanes, 1, [&, token](std::size_t, std::size_t) {
+        try {
+          while (!failed.load()) {
+            const std::size_t i = cursor.fetch_add(1);
+            if (i >= count) return;
+            if (token != nullptr) token->throw_if_cancelled();
+            fn(i);
+          }
+        } catch (...) {
+          failed.store(true);
+          throw;
         }
       });
 }

@@ -58,6 +58,16 @@ struct ExecContext {
   unsigned parallel_for(std::size_t count,
                         const std::function<void(std::size_t)>& fn) const;
 
+  /// The dispatch for few, uneven items (the SSTA's level tasks, whose cost
+  /// follows their fanin cone): min(lanes, count) lanes each claim the next
+  /// index in ascending order from one shared cursor until none is left,
+  /// polling the token before every index. Once an index throws, no lane
+  /// claims another; the first exception is rethrown on the caller. With
+  /// one lane, or on a pool without workers, fn runs in index order on the
+  /// calling thread. Returns lanes used.
+  unsigned parallel_for_claimed(
+      std::size_t count, const std::function<void(std::size_t)>& fn) const;
+
   /// Chunked variant with a minimum block size of resolved_grain(call_grain)
   /// indices (see the `grain` field for the override order).
   unsigned parallel_for_chunked(

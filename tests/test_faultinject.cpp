@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "baselines/mc_reference.hpp"
+#include "crafted_netlists.hpp"
 #include "net/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
@@ -231,6 +232,69 @@ TEST_F(FaultNetMcTest, SstaLevelCancelThrowsCancelledError) {
   install_fault_plan(FaultPlan::parse("ssta.level@2=cancel"));
   EXPECT_THROW(ssta.run(netlist, parasitics), CancelledError);
   EXPECT_TRUE(token.cancelled());
+}
+
+// The circuit max folds the POs a barrier releases as item 0 of the next
+// level's job, beside that level's tasks. On the crafted endpoint netlist
+// the cursor releases PO c, a primary input, at barrier 0 and PO d2 at
+// barrier 3, so the jobs of levels 0 and 3 carry a fold item. A throw or
+// cancel there must drop the pending fold and leave the pool fit for a
+// clean run.
+class FaultSstaFoldTest : public ::testing::Test {
+ protected:
+  FaultSstaFoldTest()
+      : cells(CellLibrary::standard()),
+        model(NSigmaCellModel::fit(testfix::make_full_charlib())),
+        wire_model(NSigmaWireModel::fit(testfix::make_charlib(), cells)),
+        tech(TechParams::nominal28()),
+        netlist(testfix::crafted_endpoint_netlist(cells)),
+        parasitics(generate_parasitics(netlist, tech)),
+        pool(3) {}
+
+  ~FaultSstaFoldTest() override { clear_fault_plan(); }
+
+  AnalyticSsta::Result run(CancellationToken* token = nullptr) {
+    AnalyticSstaOptions opt;
+    opt.sta.exec.pool = &pool;
+    opt.sta.exec.threads = 4;
+    opt.sta.exec.grain = 1;
+    opt.sta.exec.cancel = token;
+    opt.sta.min_parallel_cells = 1;
+    return AnalyticSsta(model, wire_model, tech, opt).run(netlist, parasitics);
+  }
+
+  CellLibrary cells;
+  NSigmaCellModel model;
+  NSigmaWireModel wire_model;
+  TechParams tech;
+  GateNetlist netlist;
+  ParasiticDb parasitics;
+  ThreadPool pool;
+};
+
+TEST_F(FaultSstaFoldTest, SstaLevelThrowAtFoldLevelThenCleanRunSameBits) {
+  const AnalyticSsta::Result ref = run();
+  ASSERT_GE(ref.levels, 4u);
+  for (const unsigned level : {0u, 3u}) {
+    install_fault_plan(FaultPlan::parse("ssta.level@" +
+                                        std::to_string(level) + "=throw"));
+    EXPECT_THROW(run(), FaultInjectedError) << level;
+    clear_fault_plan();
+    EXPECT_EQ(testfix::ssta_diff(run(), ref), "") << level;
+  }
+}
+
+TEST_F(FaultSstaFoldTest, SstaLevelCancelAtFoldLevelThenCleanRunSameBits) {
+  const AnalyticSsta::Result ref = run();
+  for (const unsigned level : {0u, 3u}) {
+    CancellationToken token;
+    install_fault_plan(FaultPlan::parse("ssta.level@" +
+                                        std::to_string(level) + "=cancel"));
+    EXPECT_THROW(run(&token), CancelledError) << level;
+    EXPECT_TRUE(token.cancelled()) << level;
+    clear_fault_plan();
+    EXPECT_EQ(testfix::ssta_diff(run(), ref), "") << level;
+  }
 }
 
 // `flatgraph.compile` fires once per topological level while the SoA graph

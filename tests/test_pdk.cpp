@@ -149,8 +149,8 @@ TEST(Topology, TransistorCounts) {
 TEST(Netlister, InstantiateCreatesDevices) {
   const TechParams tech = TechParams::nominal28();
   Circuit ckt;
-  const NodeId vdd = ckt.make_node("vdd");
-  const NodeId in = ckt.make_node("in");
+  const NodeId vdd = ckt.make_node();
+  const NodeId in = ckt.make_node();
   CellNetlister nl(tech);
   const CellLibrary lib = CellLibrary::standard();
   const NodeId in_nodes[] = {in};
@@ -166,8 +166,8 @@ TEST(Netlister, InstantiateCreatesDevices) {
 TEST(Netlister, ArityMismatchThrows) {
   const TechParams tech = TechParams::nominal28();
   Circuit ckt;
-  const NodeId vdd = ckt.make_node("vdd");
-  const NodeId in = ckt.make_node("in");
+  const NodeId vdd = ckt.make_node();
+  const NodeId in = ckt.make_node();
   CellNetlister nl(tech);
   const CellLibrary lib = CellLibrary::standard();
   const NodeId in_nodes[] = {in};
@@ -179,8 +179,8 @@ TEST(Netlister, ArityMismatchThrows) {
 TEST(Netlister, CornerShiftsParameters) {
   const TechParams tech = TechParams::nominal28();
   Circuit ckt;
-  const NodeId vdd = ckt.make_node("vdd");
-  const NodeId in = ckt.make_node("in");
+  const NodeId vdd = ckt.make_node();
+  const NodeId in = ckt.make_node();
   CellNetlister nl(tech);
   const CellLibrary lib = CellLibrary::standard();
   GlobalCorner corner;

@@ -130,7 +130,7 @@ TEST(RcTree, Validation) {
 TEST(RcTree, BuildSpiceStructure) {
   const RcTree t = line2(100.0, 1e-15, 200.0, 2e-15);
   Circuit ckt;
-  const NodeId root = ckt.make_node("drv");
+  const NodeId root = ckt.make_node();
   const auto ids = t.build_spice(ckt, root, 0.6);
   EXPECT_EQ(ids.size(), 3u);
   EXPECT_EQ(ids[0], root);
@@ -435,7 +435,7 @@ TEST(RcTreeShape, DefaultTreeMatchesAMaterializedRootBitForBit) {
   // The root is the driving pin's own node: a root-only tree adds no element.
   for (const RcTree* t : {&fresh, &materialized}) {
     Circuit ckt;
-    const NodeId root = ckt.make_node("drv");
+    const NodeId root = ckt.make_node();
     EXPECT_EQ(t->build_spice(ckt, root, 0.6), std::vector<NodeId>{root});
     EXPECT_TRUE(ckt.capacitors().empty());
     EXPECT_TRUE(ckt.resistors().empty());

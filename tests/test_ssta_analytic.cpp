@@ -22,6 +22,7 @@
 #include <numbers>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pathdelay.hpp"
@@ -36,6 +37,7 @@
 #include "same_bits.hpp"
 #include "synthetic_charlib.hpp"
 #include "util/rng.hpp"
+#include "util/threading.hpp"
 
 namespace nsdc {
 namespace {
@@ -378,6 +380,35 @@ TEST(SstaAnalyticDeterminism, ByteIdenticalAcrossThreadCounts) {
     const auto ref = run_at(1);
     for (unsigned t : {4u, 16u}) {
       EXPECT_EQ(testfix::ssta_diff(run_at(t), ref), "") << t << " threads";
+    }
+  }
+}
+
+TEST(SstaAnalyticDeterminism, ClaimedLevelJobsSameBitsAt1To8LanesOnAPool) {
+  // Each level is one claimed job on a 3-worker pool, and the POs a barrier
+  // releases fold into the circuit max as item 0 of the next level's job.
+  // On the crafted endpoint netlist the PO ids run against level order, so
+  // that fold waits several levels; C432-like has wide levels and many POs.
+  const Fixture f;
+  ThreadPool pool(3);
+  const std::vector<std::pair<std::string, GateNetlist>> designs = {
+      {"endpoints", testfix::crafted_endpoint_netlist(f.cells)},
+      {"C432-like", generate_iscas_like("C432", f.cells)}};
+  for (const auto& [name, nl] : designs) {
+    SCOPED_TRACE(name);
+    const ParasiticDb spef = generate_parasitics(nl, f.tech);
+    auto run_at = [&](unsigned lanes) {
+      AnalyticSstaOptions opt;
+      opt.sta.exec.pool = &pool;
+      opt.sta.exec.threads = lanes;
+      opt.sta.exec.grain = 1;
+      opt.sta.min_parallel_cells = 1;
+      return f.run_analytic(nl, spef, opt);
+    };
+    const auto ref = run_at(1);
+    for (const unsigned lanes : {2u, 4u, 8u}) {
+      EXPECT_EQ(testfix::ssta_diff(run_at(lanes), ref), "") << lanes
+                                                            << " lanes";
     }
   }
 }

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -290,6 +293,127 @@ TEST_F(ParallelForAutotuned, SingleBlockExceptionReachesCallerAndPoolSurvives) {
       });
   EXPECT_EQ(blocks, 4u);
   EXPECT_EQ(count.load(), 40);
+}
+
+// ------------------------------------------- parallel_for_claimed ---
+
+/// The claimed loop on a private 3-worker pool: the caller and three
+/// workers, so at most 4 threads whatever the lane count.
+class ParallelForClaimed : public ::testing::Test {
+ protected:
+  ParallelForClaimed() : pool(3) { exec.pool = &pool; }
+
+  ThreadPool pool;
+  ExecContext exec;
+};
+
+TEST_F(ParallelForClaimed, VisitsEachIndexOnceAt1To8Lanes) {
+  for (const unsigned lanes : {1u, 2u, 4u, 8u}) {
+    exec.threads = lanes;
+    std::vector<std::atomic<int>> hits(1000);
+    EXPECT_EQ(exec.parallel_for_claimed(
+                  hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }),
+              lanes);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << lanes << " lanes, index " << i;
+    }
+  }
+  exec.threads = 8;
+  EXPECT_EQ(exec.parallel_for_claimed(3, [](std::size_t) {}), 3u);
+  EXPECT_EQ(exec.parallel_for_claimed(0, [](std::size_t) {}), 0u);
+}
+
+TEST_F(ParallelForClaimed, NeverUsesMoreThreadsThanLanes) {
+  ThreadPool wide(7);
+  exec.pool = &wide;
+  for (const unsigned lanes : {1u, 2u, 4u}) {
+    exec.threads = lanes;
+    std::mutex mu;
+    std::set<std::thread::id> used;
+    exec.parallel_for_claimed(400, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      const std::lock_guard<std::mutex> lock(mu);
+      used.insert(std::this_thread::get_id());
+    });
+    EXPECT_GE(used.size(), 1u);
+    EXPECT_LE(used.size(), lanes);
+  }
+}
+
+TEST_F(ParallelForClaimed, RunsInIndexOrderOnCallerAtOneLaneOrNoWorkers) {
+  ThreadPool serial(0);
+  ExecContext no_workers;
+  no_workers.pool = &serial;
+  no_workers.threads = 4;
+  exec.threads = 1;
+  for (const ExecContext& ctx : {exec, no_workers}) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    ctx.parallel_for_claimed(100, [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    std::vector<std::size_t> want(100);
+    std::iota(want.begin(), want.end(), 0);
+    EXPECT_EQ(order, want);
+  }
+}
+
+TEST_F(ParallelForClaimed, RethrowsFirstExceptionAndClaimsNothingAfter) {
+  // One lane: indices run in order, so nothing after the throw runs.
+  exec.threads = 1;
+  std::vector<std::size_t> seen;
+  EXPECT_THROW(exec.parallel_for_claimed(100,
+                                         [&](std::size_t i) {
+                                           seen.push_back(i);
+                                           if (i == 6) {
+                                             throw std::invalid_argument("6");
+                                           }
+                                         }),
+               std::invalid_argument);
+  EXPECT_EQ(seen.size(), 7u);
+  EXPECT_EQ(seen.back(), 6u);
+
+  // Four lanes: only index 6 throws, and the other lanes stop claiming
+  // once it has. Each item sleeps, so a lane that ignored the failure would
+  // run on through the thousands of indices left.
+  exec.threads = 4;
+  constexpr std::size_t kCount = 4000;
+  std::atomic<std::size_t> ran{0};
+  try {
+    exec.parallel_for_claimed(kCount, [&](std::size_t i) {
+      ran.fetch_add(1);
+      if (i == 6) throw std::runtime_error("index 6");
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    });
+    ADD_FAILURE() << "no exception reached the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 6");
+  }
+  EXPECT_GE(ran.load(), 7u);
+  EXPECT_LT(ran.load(), kCount / 2);
+
+  // The pool serves the next loop in full.
+  std::atomic<int> after{0};
+  EXPECT_EQ(exec.parallel_for_claimed(64,
+                                      [&](std::size_t) { after.fetch_add(1); }),
+            4u);
+  EXPECT_EQ(after.load(), 64);
+}
+
+TEST_F(ParallelForClaimed, PreCancelledTokenThrowsCancelledError) {
+  CancellationToken token;
+  token.request_cancel();
+  exec.cancel = &token;
+  for (const unsigned lanes : {1u, 4u}) {
+    exec.threads = lanes;
+    std::atomic<int> calls{0};
+    EXPECT_THROW(exec.parallel_for_claimed(
+                     100, [&](std::size_t) { calls.fetch_add(1); }),
+                 CancelledError)
+        << lanes << " lanes";
+    EXPECT_EQ(calls.load(), 0) << lanes << " lanes";
+  }
 }
 
 // ------------------------------------------- thread-count invariance ------

@@ -11,8 +11,8 @@ namespace {
 
 TEST(Dc, ResistorDivider) {
   Circuit ckt;
-  const NodeId top = ckt.make_node("top");
-  const NodeId mid = ckt.make_node("mid");
+  const NodeId top = ckt.make_node();
+  const NodeId mid = ckt.make_node();
   ckt.add_vsource(top, kGround, Pwl::constant(1.0));
   ckt.add_resistor(top, mid, 1000.0);
   ckt.add_resistor(mid, kGround, 3000.0);
@@ -26,9 +26,9 @@ TEST(Dc, ResistorDivider) {
 TEST(Dc, InverterOperatingPoints) {
   TechParams tech = TechParams::nominal28();
   Circuit ckt;
-  const NodeId vdd = ckt.make_node("vdd");
+  const NodeId vdd = ckt.make_node();
   ckt.add_vsource(vdd, kGround, Pwl::constant(tech.vdd));
-  const NodeId in = ckt.make_node("in");
+  const NodeId in = ckt.make_node();
   ckt.add_vsource(in, kGround, Pwl::constant(0.0));
   CellNetlister nl(tech);
   CellLibrary lib = CellLibrary::standard();
@@ -47,8 +47,8 @@ TEST(Dc, InverterOperatingPoints) {
 TEST(Transient, RcStepResponseMatchesAnalytic) {
   // V -> R -> node -> C to ground. Step at t = 0 via a fast ramp.
   Circuit ckt;
-  const NodeId src = ckt.make_node("src");
-  const NodeId out = ckt.make_node("out");
+  const NodeId src = ckt.make_node();
+  const NodeId out = ckt.make_node();
   const double r = 1e4, c = 1e-15;  // tau = 10 ps
   ckt.add_vsource(src, kGround, Pwl::ramp(1e-12, 0.0, 1.0, 1e-15));
   ckt.add_resistor(src, out, r);
@@ -72,8 +72,8 @@ TEST(Transient, CapacitorHoldsChargeWithoutPath) {
   // A capacitor precharged by DC through a resistor to a source at 0.7 V
   // stays at 0.7 V when nothing changes.
   Circuit ckt;
-  const NodeId src = ckt.make_node("src");
-  const NodeId out = ckt.make_node("out");
+  const NodeId src = ckt.make_node();
+  const NodeId out = ckt.make_node();
   ckt.add_vsource(src, kGround, Pwl::constant(0.7));
   ckt.add_resistor(src, out, 1e3);
   ckt.add_capacitor(out, kGround, 1e-15);
@@ -88,7 +88,7 @@ TEST(Transient, CapacitorHoldsChargeWithoutPath) {
 
 TEST(Transient, VsourceTracksPwl) {
   Circuit ckt;
-  const NodeId a = ckt.make_node("a");
+  const NodeId a = ckt.make_node();
   ckt.add_vsource(a, kGround, Pwl({{0.0, 0.0}, {1e-9, 1.0}}));
   ckt.add_resistor(a, kGround, 1e6);
   TransientOptions opts;
@@ -103,10 +103,10 @@ TEST(Transient, VsourceTracksPwl) {
 TEST(Transient, InverterSwitchDelayInSaneRange) {
   TechParams tech = TechParams::nominal28();
   Circuit ckt;
-  const NodeId vdd = ckt.make_node("vdd");
+  const NodeId vdd = ckt.make_node();
   ckt.add_vsource(vdd, kGround, Pwl::constant(tech.vdd));
   ckt.set_initial_voltage(vdd, tech.vdd);
-  const NodeId in = ckt.make_node("in");
+  const NodeId in = ckt.make_node();
   ckt.add_vsource(in, kGround, Pwl::ramp(20e-12, 0.0, tech.vdd, 10e-12));
   CellNetlister nl(tech);
   CellLibrary lib = CellLibrary::standard();
@@ -130,7 +130,7 @@ TEST(Transient, InverterSwitchDelayInSaneRange) {
 
 TEST(Transient, RejectsNonpositiveTstop) {
   Circuit ckt;
-  (void)ckt.make_node("a");
+  (void)ckt.make_node();
   TransientOptions opts;
   opts.tstop = 0.0;
   const auto res = run_transient(ckt, opts);
@@ -139,7 +139,7 @@ TEST(Transient, RejectsNonpositiveTstop) {
 
 TEST(Transient, BreakpointsAreHit) {
   Circuit ckt;
-  const NodeId a = ckt.make_node("a");
+  const NodeId a = ckt.make_node();
   ckt.add_vsource(a, kGround,
                   Pwl({{0.0, 0.0}, {0.35e-9, 0.0}, {0.4e-9, 1.0}}));
   ckt.add_resistor(a, kGround, 1e6);
@@ -158,7 +158,7 @@ TEST(Transient, BreakpointsAreHit) {
 
 TEST(Circuit, Validation) {
   Circuit ckt;
-  const NodeId a = ckt.make_node("a");
+  const NodeId a = ckt.make_node();
   EXPECT_THROW(ckt.add_resistor(a, 99, 1.0), std::out_of_range);
   EXPECT_THROW(ckt.add_resistor(a, kGround, 0.0), std::invalid_argument);
   EXPECT_THROW(ckt.add_capacitor(a, kGround, -1.0), std::invalid_argument);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the concurrency/numeric test subset under each requested sanitizer
-# and runs it. The parallel STA engine and the Monte-Carlo loops are the
-# intentionally-concurrent code (tsan); the parsers, lint rules, cell pin
-# caps and numeric kernels are what asan/ubsan sweep. The static-analysis
+# and runs it. The parallel STA engine, the SSTA level jobs and the
+# Monte-Carlo loops are the intentionally-concurrent code (tsan); the
+# parsers, lint rules, cell pin caps, the transient circuit builder and
+# numeric kernels are what asan/ubsan sweep. The static-analysis
 # suite (interval propagation, verify-engines gate) runs as a second pass
 # via its ctest label so new analysis tests are picked up without touching
 # the regex.
@@ -12,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REGEX="Threading|ThreadPool|ParallelFor|Sta|NetMc|Netlist|GoldenSta|PathDelay|Lint|Spef|Bench|Incremental|Mutator|Fault|CancellationToken|Moments|Ssta|FlatGraph|Serve|Wire|Argparse|CliValidation|CliGolden|Dist|RetryPolicy|RcTree|DesignGen|Quantile|CellType"
+REGEX="Threading|ThreadPool|ParallelFor|Sta|NetMc|Netlist|GoldenSta|PathDelay|Lint|Spef|Bench|Incremental|Mutator|Fault|CancellationToken|Moments|Ssta|FlatGraph|Serve|Wire|Argparse|CliValidation|CliGolden|Dist|RetryPolicy|RcTree|DesignGen|Quantile|CellType|Circuit|Dc|Transient"
 SANS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -27,7 +28,8 @@ TARGETS=(test_util test_threading test_netlist test_sta test_netmc
          test_pathdelay test_golden_sta test_lint test_incremental
          test_spef test_benchio test_faultinject test_moments
          test_ssta_analytic test_analysis test_flatgraph test_serve
-         test_dist test_rctree test_designgen test_quantiles test_pdk)
+         test_dist test_rctree test_designgen test_quantiles test_pdk
+         test_transient)
 
 for SAN in "${SANS[@]}"; do
   echo "=== ${SAN} ==="
