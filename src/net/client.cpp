@@ -121,10 +121,6 @@ bool Client::try_recv_frame(std::string* payload) {
   return true;
 }
 
-void Client::shutdown_write() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
-}
-
 void Client::close() {
   close_fd(fd_);
   fd_ = -1;

@@ -55,10 +55,6 @@ class Client {
   /// the daemon malformed and truncated streams.
   void send_raw(const void* data, std::size_t n);
 
-  /// Half-closes the write side (the daemon sees EOF after the bytes in
-  /// flight), keeping the read side open.
-  void shutdown_write();
-
   void close();
   bool connected() const { return fd_ >= 0; }
 

@@ -34,7 +34,6 @@ void ServerLoop::accept_pending(PollResult* out) {
     const int id = next_conn_id_++;
     conns_.emplace(id, Conn(options_.max_frame_bytes));
     conns_.at(id).fd = fd;
-    ++stats_.accepted;
   }
 }
 
@@ -46,19 +45,16 @@ bool ServerLoop::read_conn(int id, Conn& conn, PollResult* out) {
       conn.decoder.feed(buf, static_cast<std::size_t>(got));
       std::string payload;
       while (conn.decoder.pop(&payload)) {
-        ++stats_.frames_in;
         out->frames.push_back({id, std::move(payload)});
       }
       if (conn.decoder.oversized()) {
-        ++stats_.oversized_drops;
         return false;  // length prefix untrustworthy: drop the connection
       }
       continue;
     }
     if (got == 0) {
       // Peer closed. Bytes short of a frame boundary mean the last frame
-      // was truncated — nothing to deliver, just account for it.
-      if (conn.decoder.pending_bytes() > 0) ++stats_.truncated_closes;
+      // was truncated: there is nothing to deliver.
       return false;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
@@ -83,7 +79,6 @@ bool ServerLoop::flush_conn(Conn& conn) {
     if (conn.send_offset == front.size()) {
       conn.sendq.pop_front();
       conn.send_offset = 0;
-      ++stats_.frames_out;
     }
   }
   return true;
@@ -94,7 +89,6 @@ void ServerLoop::destroy_conn(int id) {
   if (it == conns_.end()) return;
   close_fd(it->second.fd);
   conns_.erase(it);
-  ++stats_.closed;
 }
 
 void ServerLoop::poll(int timeout_ms, PollResult* out) {
@@ -150,11 +144,6 @@ bool ServerLoop::send(int conn_id, std::string_view payload) {
     return false;
   }
   return true;
-}
-
-bool ServerLoop::send_pending(int conn_id) const {
-  const auto it = conns_.find(conn_id);
-  return it != conns_.end() && !it->second.sendq.empty();
 }
 
 bool ServerLoop::any_send_pending() const {

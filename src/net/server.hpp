@@ -11,7 +11,7 @@
 // Robustness contract (exercised by tests/test_serve.cpp): a frame whose
 // declared length exceeds max_frame_bytes poisons that connection's stream
 // — the length prefix cannot be trusted to resynchronize — so the
-// connection is closed and counted, and the loop carries on. A peer that
+// connection is closed, and the loop carries on. A peer that
 // disconnects mid-frame (truncated frame) is detected at EOF and closed.
 // Neither event is an error of the loop itself; the daemon never dies on
 // client behavior.
@@ -48,15 +48,6 @@ class ServerLoop {
     int backlog = 64;                         ///< listen(2) backlog
   };
 
-  struct Stats {
-    std::uint64_t accepted = 0;
-    std::uint64_t frames_in = 0;
-    std::uint64_t frames_out = 0;
-    std::uint64_t oversized_drops = 0;   ///< conns dropped: bad length
-    std::uint64_t truncated_closes = 0;  ///< conns EOF'd mid-frame
-    std::uint64_t closed = 0;
-  };
-
   /// Binds and listens. Throws IoError on failure. (Two overloads instead
   /// of a defaulted argument: GCC cannot use a nested class's default
   /// member initializers in a default argument of the enclosing class.)
@@ -79,10 +70,6 @@ class ServerLoop {
   /// caller should release any per-connection state.
   bool send(int conn, std::string_view payload);
 
-  /// True while `conn` still has queued bytes not yet accepted by the
-  /// kernel.
-  bool send_pending(int conn) const;
-
   /// True while any connection has queued bytes (the daemon's shutdown
   /// path polls until this clears so final responses reach their peers).
   bool any_send_pending() const;
@@ -92,12 +79,9 @@ class ServerLoop {
 
   /// Graceful-shutdown step: closes the listening socket so new connects
   /// are refused, while established connections keep reading/flushing
-  /// through poll(). Idempotent; accepting() turns false.
+  /// through poll(). Idempotent.
   void stop_accepting();
-  bool accepting() const { return listen_fd_ >= 0; }
 
-  std::size_t open_connections() const { return conns_.size(); }
-  const Stats& stats() const { return stats_; }
   /// Resolved TCP port (0 for unix endpoints).
   std::uint16_t port() const { return port_; }
   const Endpoint& endpoint() const { return endpoint_; }
@@ -125,7 +109,6 @@ class ServerLoop {
   std::uint16_t port_ = 0;
   int next_conn_id_ = 0;
   std::map<int, Conn> conns_;  ///< ordered: deterministic iteration
-  Stats stats_;
 };
 
 }  // namespace nsdc::net

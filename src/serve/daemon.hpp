@@ -40,8 +40,11 @@ class Daemon {
     ThreadPool* pool = nullptr;
     /// External graceful-stop flag, polled once per pass. The tool's
     /// SIGTERM/SIGINT handler just stores true into this atomic (the only
-    /// async-signal-safe thing it can do); the daemon then drains exactly
-    /// like request_graceful_stop(). Non-owning; may be null.
+    /// async-signal-safe thing it can do). Once it is set, run() refuses
+    /// new connections, executes every request already received, flushes
+    /// the responses, then returns. In-flight batches are never cut
+    /// mid-execution; partially received frames are abandoned with their
+    /// connections. Non-owning; may be null.
     const std::atomic<bool>* drain_stop = nullptr;
   };
 
@@ -59,14 +62,6 @@ class Daemon {
   /// Abrupt: requests still queued when the flag is seen are dropped.
   void request_stop() { stop_.store(true, std::memory_order_release); }
 
-  /// Graceful stop: run() refuses new connections, executes every request
-  /// already received, flushes the responses, then returns. In-flight
-  /// batches are never cut mid-execution; partially received frames are
-  /// abandoned with their connections.
-  void request_graceful_stop() {
-    graceful_.store(true, std::memory_order_release);
-  }
-
   /// Resolved TCP port (0 for unix endpoints).
   std::uint16_t port() const { return loop_.port(); }
   const net::Endpoint& endpoint() const { return loop_.endpoint(); }
@@ -74,7 +69,6 @@ class Daemon {
   std::uint64_t requests_served() const {
     return served_.load(std::memory_order_relaxed);
   }
-  const net::ServerLoop::Stats& net_stats() const { return loop_.stats(); }
 
  private:
   /// Executes pending requests batch by batch until none remain (or a
@@ -90,12 +84,10 @@ class Daemon {
   std::uint64_t next_seq_ = 0;
   std::atomic<std::uint64_t> served_{0};
   std::atomic<bool> stop_{false};
-  std::atomic<bool> graceful_{false};
 
   bool graceful_requested() const {
-    return graceful_.load(std::memory_order_acquire) ||
-           (options_.drain_stop != nullptr &&
-            options_.drain_stop->load(std::memory_order_acquire));
+    return options_.drain_stop != nullptr &&
+           options_.drain_stop->load(std::memory_order_acquire);
   }
 };
 

@@ -2,18 +2,6 @@
 
 namespace nsdc::serve {
 
-const char* status_name(Status s) {
-  switch (s) {
-    case Status::kOk: return "ok";
-    case Status::kBadRequest: return "bad-request";
-    case Status::kCancelled: return "cancelled";
-    case Status::kParse: return "parse-error";
-    case Status::kIo: return "io-error";
-    case Status::kInternal: return "internal-error";
-  }
-  return "unknown";
-}
-
 void write_request_header(net::WireWriter& w, const RequestHeader& h) {
   w.u8(static_cast<std::uint8_t>(h.type));
   w.u32(h.request_id);

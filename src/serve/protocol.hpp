@@ -57,8 +57,6 @@ enum class Status : std::uint8_t {
   kInternal = 13,   ///< anything else (kExitInternal)
 };
 
-const char* status_name(Status s);
-
 /// Edit operations of a kSessionEdit batch.
 enum class EditOp : std::uint8_t {
   kSetCellType = 0,  ///< u32 cell index + str new type name (same arity)

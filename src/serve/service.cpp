@@ -89,7 +89,6 @@ const AnalyticSsta::Result& Service::ssta_baseline(CancellationToken& token) {
 
 Service::HandleResult Service::handle(int conn, std::uint64_t seq,
                                       std::string_view payload) {
-  handled_.fetch_add(1, std::memory_order_relaxed);
   net::WireReader r(payload);
   const RequestHeader h = read_request_header(r);
   if (!r.ok()) {

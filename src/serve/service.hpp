@@ -99,9 +99,6 @@ class Service {
   /// Releases every session owned by `conn` (called when it disconnects).
   void drop_owner(int conn);
 
-  std::uint64_t requests_handled() const {
-    return handled_.load(std::memory_order_relaxed);
-  }
   std::size_t open_sessions() const;
   const StaEngine::Result& baseline() const { return baseline_; }
 
@@ -155,8 +152,6 @@ class Service {
   mutable std::mutex sessions_mu_;
   std::map<std::uint32_t, Session> sessions_;
   std::map<int, std::uint32_t> session_seq_;  ///< per-conn id counter
-
-  std::atomic<std::uint64_t> handled_{0};
 };
 
 }  // namespace nsdc::serve

@@ -12,7 +12,9 @@
 // slot and reads only lower-level slots, which makes the parallel result
 // bit-identical to the serial one for any thread count. Designs below
 // StaConfig::min_parallel_cells stay on the serial path (fork-join
-// overhead dominates on small graphs).
+// overhead dominates on small graphs). The path reports run on the same
+// lanes: one backtrack per endpoint, then one flat loop over every path's
+// stages.
 
 #include <stdexcept>
 #include <string>
@@ -33,7 +35,9 @@ struct FlatArcRecords;
 /// nominal pass (NetlistMonteCarlo, AnalyticSsta, IncrementalSta).
 struct StaConfig {
   ExecContext exec{};
-  /// Below this many cells the engine runs serially on the calling thread.
+  /// Below this many cells StaEngine (its pass and its path reports) runs
+  /// serially on the calling thread. AnalyticSsta's level loop, whose
+  /// tasks cost ~100x a nominal cell, uses its lanes at any size.
   std::size_t min_parallel_cells = 2048;
 
   /// True when a netlist of `cells` cells should use the pool.
@@ -83,12 +87,26 @@ class StaEngine {
              const ParasiticDb& parasitics,
              FlatArcRecords* keep_records = nullptr) const;
 
-  /// Backtracks the worst PO arrival into a stage-by-stage path.
+  /// Backtracks the worst PO arrival (critical_net, critical_edge) into a
+  /// stage-by-stage path: extract_worst_paths' code with one endpoint.
+  /// Throws "empty critical path" when no cell drives that net.
   PathDescription extract_critical_path(const GateNetlist& netlist,
                                         const Result& result) const;
 
   /// Worst path per primary output, sorted by decreasing mean arrival,
-  /// truncated to `max_paths`. Entry 0 equals the critical path.
+  /// truncated to `max_paths`. Entry 0 equals the critical path. A PO that
+  /// no cell drives (a feed-through port) has no path: it is left out
+  /// before truncation, so `max_paths` counts real paths.
+  ///
+  /// Both reports run on the lanes run() uses (the config's, or one in
+  /// order on the caller below min_parallel_cells): each lane claims the
+  /// next endpoint and backtracks it, then every path's stages are filled
+  /// as one flattened index space. Endpoint selection, sort and truncation
+  /// stay serial and each stage reads only `result` and the netlist, so
+  /// the paths carry the same bits at any lane count. Both loops poll the
+  /// config's cancellation token (CancelledError). A fanin pin of -1 on
+  /// the way back throws "broken backtrack"; with several failing
+  /// endpoints the lowest one's error is rethrown.
   std::vector<PathDescription> extract_worst_paths(
       const GateNetlist& netlist, const Result& result,
       std::size_t max_paths) const;

@@ -800,10 +800,12 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
 
   // Levelized propagation with a barrier between levels: each task writes
   // only its own output slot and reads only lower-level slots, so the
-  // result is byte-identical at any thread count.
-  const bool parallel = options_.sta.parallel_for_size(n_cells);
-  const ExecContext exec =
-      parallel ? options_.sta.exec : options_.sta.exec.with_threads(1);
+  // result is byte-identical at any thread count. The levels run on every
+  // configured lane whatever the design's size: a task costs tens to
+  // hundreds of microseconds, so StaConfig::min_parallel_cells (sized for
+  // the nominal pass's ~2 us cells) gates only freeze_stat_arcs' nominal
+  // pre-pass, and a one-task level already runs inline on the caller.
+  const ExecContext& exec = options_.sta.exec;
   CancellationToken* token = exec.cancel;
   std::vector<ssta::Arrival> arr(2 * n_nets);
   // Finished PO worst edges wait here until every lower PO has been folded

@@ -43,9 +43,10 @@
 // stage collapses to its nominal delay and the propagated arrivals equal
 // the mean engine's (and a 1-sample MC's) to the last bit.
 //
-// Scheduling: each level is one ExecContext::parallel_for_claimed job,
-// whose lanes claim the (cell, edge) tasks one at a time, since task cost
-// follows cone span. The barrier's per-PO worst-edge folds are claimed the
+// Scheduling: each level is one ExecContext::parallel_for_claimed job on
+// every configured lane, at any design size (StaConfig::min_parallel_cells
+// gates only the nominal pre-pass), whose lanes claim the (cell, edge)
+// tasks one at a time, since task cost follows cone span. The barrier's per-PO worst-edge folds are claimed the
 // same way. The circuit max is a strictly ordered fold over PO ids, so it
 // is never split: the POs a barrier releases fold as item 0 of the next
 // level's job while the other lanes run that level's tasks, and the last

@@ -5,7 +5,8 @@
 // the first field that differs, with its net, edge, PO, sample or level
 // index (e.g. "nets[12][1].moments.sigma"). Values are compared as bit
 // patterns (memcmp, the determinism contract of DESIGN §7): +0 and -0
-// differ, and NaNs with the same bits are equal.
+// differ, and NaNs with the same bits are equal. Pointers compare by
+// address, strings by content.
 
 #include <array>
 #include <cstring>
@@ -37,10 +38,16 @@ inline Path diff(const NetlistMonteCarlo::EdgeStats& a,
                  const NetlistMonteCarlo::EdgeStats& b);
 inline Path diff(const AnalyticSsta::EdgeStats& a,
                  const AnalyticSsta::EdgeStats& b);
+inline Path diff(const std::string& a, const std::string& b);
+inline Path diff(const RcTree::Sink& a, const RcTree::Sink& b);
+inline Path diff(const RcTree& a, const RcTree& b);
+inline Path diff(const PathStage& a, const PathStage& b);
+inline Path diff(const PathDescription& a, const PathDescription& b);
 
 template <class T>
 Path diff(const T& a, const T& b) {
-  static_assert(std::is_arithmetic_v<T>, "no bit comparison for this type");
+  static_assert(std::is_arithmetic_v<T> || std::is_pointer_v<T>,
+                "no bit comparison for this type");
   if (std::memcmp(&a, &b, sizeof a) == 0) return std::nullopt;
   return std::string();
 }
@@ -77,6 +84,50 @@ inline Path diff(const AnalyticSsta::EdgeStats& a,
                  const AnalyticSsta::EdgeStats& b) {
   if (Path p = member(".moments", a.moments, b.moments)) return p;
   return member(".reachable", a.reachable, b.reachable);
+}
+
+inline Path diff(const std::string& a, const std::string& b) {
+  if (a == b) return std::nullopt;
+  return std::string();
+}
+
+inline Path diff(const RcTree::Sink& a, const RcTree::Sink& b) {
+  if (Path p = member(".node", a.node, b.node)) return p;
+  return member(".pin", a.pin, b.pin);
+}
+
+/// Node by node `parent`, `edge_res` and `node_cap` ("nodes[3].edge_res"),
+/// then the sinks.
+inline Path diff(const RcTree& a, const RcTree& b) {
+  if (Path p = member(".num_nodes()", a.num_nodes(), b.num_nodes())) {
+    return p;
+  }
+  for (int i = 0; i < a.num_nodes(); ++i) {
+    Path p = member(".parent", a.parent(i), b.parent(i));
+    if (!p) p = member(".edge_res", a.edge_res(i), b.edge_res(i));
+    if (!p) p = member(".node_cap", a.node_cap(i), b.node_cap(i));
+    if (p) return ".nodes[" + std::to_string(i) + "]" + *p;
+  }
+  return member(".sinks", a.sinks(), b.sinks());
+}
+
+inline Path diff(const PathStage& a, const PathStage& b) {
+  if (Path p = member(".cell", a.cell, b.cell)) return p;
+  if (Path p = member(".pin", a.pin, b.pin)) return p;
+  if (Path p = member(".in_rising", a.in_rising, b.in_rising)) return p;
+  if (Path p = member(".input_slew", a.input_slew, b.input_slew)) return p;
+  if (Path p = member(".output_load", a.output_load, b.output_load)) {
+    return p;
+  }
+  if (Path p = member(".wire", a.wire, b.wire)) return p;
+  if (Path p = member(".sink_node", a.sink_node, b.sink_node)) return p;
+  return member(".load_cell", a.load_cell, b.load_cell);
+}
+
+inline Path diff(const PathDescription& a, const PathDescription& b) {
+  if (Path p = member(".design", a.design, b.design)) return p;
+  if (Path p = member(".note", a.note, b.note)) return p;
+  return member(".stages", a.stages, b.stages);
 }
 
 template <class T>
@@ -126,6 +177,25 @@ inline std::string sta_diff(const StaEngine::Result& got,
   d("max_arrival", got.max_arrival, want.max_arrival);
   d("critical_net", got.critical_net, want.critical_net);
   d("critical_edge", got.critical_edge, want.critical_edge);
+  return d.str();
+}
+
+/// `design`, `note`, then per stage `cell` (by address), `pin`,
+/// `in_rising`, `input_slew`, `output_load`, `wire` (node count, then per
+/// node `parent`, `edge_res` and `node_cap`, then per sink `node` and
+/// `pin`), `sink_node` and `load_cell`.
+inline std::string path_diff(const PathDescription& got,
+                             const PathDescription& want) {
+  const same_bits_detail::Path p = same_bits_detail::diff(got, want);
+  return p ? p->substr(1) : std::string();  // drop the leading '.'
+}
+
+/// path_diff per path of a report ("paths[2].stages[0].pin"), after the
+/// path count ("paths.size()").
+inline std::string path_diff(const std::vector<PathDescription>& got,
+                             const std::vector<PathDescription>& want) {
+  same_bits_detail::FirstDiff d;
+  d("paths", got, want);
   return d.str();
 }
 

@@ -499,6 +499,93 @@ TEST_F(SameBits, SstaDiffNamesEachField) {
                            NSDC_FLIP_CASE(R, peak_live_locals)});
 }
 
+/// `w` rebuilt through the public RcTree API, with node 2 hung off
+/// `parent2` and sink 0 at node `sink0` named `pin0`.
+RcTree rebuilt(const RcTree& w, int parent2, int sink0,
+               const std::string& pin0) {
+  RcTree t;
+  t.add_cap(0, w.node_cap(0));
+  for (int i = 1; i < w.num_nodes(); ++i) {
+    t.add_node(i == 2 ? parent2 : w.parent(i), w.edge_res(i), w.node_cap(i));
+  }
+  for (std::size_t s = 0; s < w.sinks().size(); ++s) {
+    const RcTree::Sink& sink = w.sinks()[s];
+    t.mark_sink(s == 0 ? sink0 : sink.node, s == 0 ? pin0 : sink.pin);
+  }
+  return t;
+}
+
+/// rebuilt() with every field of `w` kept.
+RcTree rebuilt(const RcTree& w) {
+  return rebuilt(w, w.parent(2), w.sinks()[0].node, w.sinks()[0].pin);
+}
+
+TEST_F(SameBits, PathDiffNamesEachField) {
+  using R = PathDescription;
+  const GateNetlist nl = c17();
+  const StaEngine engine(model, tech);
+  const R ref = engine.extract_worst_paths(
+      nl, engine.run(nl, generate_parasitics(nl, tech)), 1)[0];
+  ASSERT_GE(ref.stages.size(), 2u);
+  const RcTree& w = ref.stages[1].wire;
+  ASSERT_GE(w.num_nodes(), 3);
+  ASSERT_GT(w.parent(2), 0);  // so hanging node 2 off the root moves it
+  ASSERT_FALSE(w.sinks().empty());
+  ASSERT_NE(w.sinks()[0].node, 1);
+  {
+    R same = ref;
+    same.stages[1].wire = rebuilt(w);
+    EXPECT_EQ(testfix::path_diff(same, ref), "");
+  }
+  expect_each_field_named(
+      ref,
+      [](const R& got, const R& want) {
+        return testfix::path_diff(got, want);
+      },
+      {{"design", [](R& r) { r.design += "x"; }},
+       {"note", [](R& r) { r.note += "x"; }},
+       {"stages.size()", [](R& r) { r.stages.pop_back(); }},
+       {"stages[1].cell", [](R& r) { r.stages[1].cell = nullptr; }},
+       NSDC_FLIP_CASE(R, stages[1].pin),
+       NSDC_FLIP_CASE(R, stages[1].in_rising),
+       NSDC_FLIP_CASE(R, stages[1].input_slew),
+       NSDC_FLIP_CASE(R, stages[1].output_load),
+       {"stages[1].wire.num_nodes()",
+        [](R& r) { r.stages[1].wire = RcTree(); }},
+       {"stages[1].wire.nodes[2].parent",
+        [](R& r) {
+          const RcTree& t = r.stages[1].wire;
+          r.stages[1].wire =
+              rebuilt(t, 0, t.sinks()[0].node, t.sinks()[0].pin);
+        }},
+       {"stages[1].wire.nodes[1].edge_res",
+        [](R& r) { r.stages[1].wire = r.stages[1].wire.scaled(2.0, 1.0); }},
+       {"stages[1].wire.nodes[1].node_cap",
+        [](R& r) { r.stages[1].wire.add_cap(1, 1e-18); }},
+       {"stages[1].wire.sinks.size()",
+        [](R& r) { r.stages[1].wire.mark_sink(1, "extra"); }},
+       {"stages[1].wire.sinks[0].node",
+        [](R& r) {
+          const RcTree& t = r.stages[1].wire;
+          r.stages[1].wire = rebuilt(t, t.parent(2), 1, t.sinks()[0].pin);
+        }},
+       {"stages[1].wire.sinks[0].pin",
+        [](R& r) {
+          const RcTree& t = r.stages[1].wire;
+          r.stages[1].wire =
+              rebuilt(t, t.parent(2), t.sinks()[0].node, "renamed");
+        }},
+       NSDC_FLIP_CASE(R, stages[1].sink_node),
+       {"stages[1].load_cell", [](R& r) { r.stages[1].load_cell += "x"; }}});
+  // A report names the path first.
+  const std::vector<R> one = {ref};
+  std::vector<R> other = one;
+  other[0].stages[1].pin ^= 1;
+  EXPECT_EQ(testfix::path_diff(other, one), "paths[0].stages[1].pin");
+  other.push_back(ref);
+  EXPECT_EQ(testfix::path_diff(other, one), "paths.size()");
+}
+
 #undef NSDC_FLIP_CASE
 
 }  // namespace

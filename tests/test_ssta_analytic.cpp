@@ -413,6 +413,31 @@ TEST(SstaAnalyticDeterminism, ClaimedLevelJobsSameBitsAt1To8LanesOnAPool) {
   }
 }
 
+TEST(SstaAnalyticDeterminism, SmallDesignLevelsOnAPoolSameBitsAt1To8Lanes) {
+  // A ~500-cell design sits below StaConfig::min_parallel_cells, which
+  // gates only the nominal pre-pass: the SSTA levels still run on the
+  // pool's lanes, and carry the 1-lane bits.
+  const Fixture f;
+  ThreadPool pool(3);
+  RandomNetlistSpec spec;
+  spec.target_cells = 500;
+  spec.seed = 17;
+  const GateNetlist nl = generate_random_mapped(spec, f.cells);
+  ASSERT_LT(nl.num_cells(), StaConfig{}.min_parallel_cells);
+  const ParasiticDb spef = generate_parasitics(nl, f.tech);
+  auto run_at = [&](unsigned lanes) {
+    AnalyticSstaOptions opt;
+    opt.sta.exec.pool = &pool;
+    opt.sta.exec.threads = lanes;
+    return f.run_analytic(nl, spef, opt);
+  };
+  const auto ref = run_at(1);
+  for (const unsigned lanes : {2u, 4u, 8u}) {
+    EXPECT_EQ(testfix::ssta_diff(run_at(lanes), ref), "") << lanes
+                                                          << " lanes";
+  }
+}
+
 // ------------------------------------------------- moment-algebra props --
 
 TEST(SstaMomentAlgebra, SeriesSumMatchesClosedFormCumulantAddition) {

@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "netlist/designgen.hpp"
+#include "same_bits.hpp"
 #include "sta/annotate.hpp"
 #include "sta/timer.hpp"
 #include "synthetic_charlib.hpp"
+#include "util/cancel.hpp"
+#include "util/errors.hpp"
+#include "util/threading.hpp"
 
 namespace nsdc {
 namespace {
@@ -215,6 +225,225 @@ TEST_F(StaTest, TimerAnalyzePathsConsistentWithAnalyze) {
                 analysis.quantiles[static_cast<std::size_t>(lv)], 1e-18);
   }
   EXPECT_GT(reports[0].quantiles[3], reports[1].quantiles[3]);
+}
+
+TEST_F(StaTest, FeedThroughPoHasNoPath) {
+  // y is driven by a cell; b is a primary input that is also an output.
+  GateNetlist nl("feed");
+  const int a = nl.add_primary_input("a");
+  const int b = nl.add_primary_input("b");
+  const int g = nl.add_cell("u1", cells.by_name("INVx1"), {a}, "y");
+  nl.mark_primary_output(nl.cell(g).out_net);
+  nl.mark_primary_output(b);
+  const ParasiticDb spef = generate_parasitics(nl, tech);
+  const auto res = engine.run(nl, spef);
+  const auto paths = engine.extract_worst_paths(nl, res, 10);
+  ASSERT_EQ(paths.size(), 1u);
+  EXPECT_EQ(paths[0].stages.size(), 1u);
+  EXPECT_EQ(paths[0].note.rfind("endpoint y ", 0), 0u) << paths[0].note;
+
+  const NSigmaTimer timer(charlib, cells, tech);
+  const auto reports = timer.analyze_paths(nl, spef, 10);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].path.stages.size(), 1u);
+}
+
+// ------------------------------------------------- parallel path reports --
+// The reports run on a 3-worker pool with grain 1 and min_parallel_cells 1,
+// so even small designs spread their backtracks over the lanes and the
+// stage chunks split paths.
+
+StaConfig pool_config(ThreadPool& pool, unsigned lanes,
+                      CancellationToken* cancel = nullptr) {
+  StaConfig cfg;
+  cfg.exec.pool = &pool;
+  cfg.exec.threads = lanes;
+  cfg.exec.grain = 1;
+  cfg.exec.cancel = cancel;
+  cfg.min_parallel_cells = 1;
+  return cfg;
+}
+
+/// Each stage's load cell is the next stage's cell, the next stage switches
+/// on the edge this stage drives, and the last stage has no load cell: a
+/// check of the report that needs no second report.
+void expect_chained(const PathDescription& p) {
+  ASSERT_FALSE(p.stages.empty());
+  for (std::size_t s = 0; s < p.stages.size(); ++s) {
+    const PathStage& st = p.stages[s];
+    ASSERT_NE(st.cell, nullptr) << "stage " << s;
+    if (s + 1 == p.stages.size()) {
+      EXPECT_EQ(st.load_cell, "");
+      break;
+    }
+    const PathStage& next = p.stages[s + 1];
+    ASSERT_NE(next.cell, nullptr) << "stage " << s + 1;
+    EXPECT_EQ(st.load_cell, next.cell->name()) << "stage " << s;
+    EXPECT_EQ(next.in_rising, st.cell->inverting() != st.in_rising)
+        << "stage " << s;
+  }
+}
+
+TEST_F(StaTest, ParallelReportsSameBitsAt1To8LanesOnAPool) {
+  // C432-like: over a hundred endpoints with parasitics. DIVCHAIN: a
+  // critical path of over 2,000 stages, which several chunks share.
+  const NSigmaCellModel full =
+      NSigmaCellModel::fit(testfix::make_full_charlib());
+  ThreadPool pool(3);
+  struct Case {
+    const char* name;
+    GateNetlist nl;
+    std::size_t max_paths;
+    std::size_t min_paths;
+    std::size_t min_critical_stages;
+  };
+  const std::vector<Case> cases = {
+      {"C432-like", generate_iscas_like("C432", cells), 1000, 100, 20},
+      {"DIVCHAIN", generate_divider_chain(16, 4, cells), 4, 4, 2000}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ParasiticDb spef = generate_parasitics(c.nl, tech);
+    const StaEngine serial(full, tech, pool_config(pool, 1));
+    const StaEngine::Result res = serial.run(c.nl, spef);
+    const auto ref = serial.extract_worst_paths(c.nl, res, c.max_paths);
+    const PathDescription ref_critical = serial.extract_critical_path(c.nl, res);
+    ASSERT_GE(ref.size(), c.min_paths);
+    ASSERT_GE(ref_critical.stages.size(), c.min_critical_stages);
+    for (const PathDescription& p : ref) expect_chained(p);
+    expect_chained(ref_critical);
+    // Entry 0 is the critical path, note aside.
+    PathDescription first = ref.front();
+    first.note.clear();
+    EXPECT_EQ(testfix::path_diff(first, ref_critical), "");
+
+    for (const unsigned lanes : {1u, 2u, 4u, 8u}) {
+      const StaEngine engine(full, tech, pool_config(pool, lanes));
+      EXPECT_EQ(testfix::path_diff(
+                    engine.extract_worst_paths(c.nl, res, c.max_paths), ref),
+                "")
+          << lanes << " lanes";
+      EXPECT_EQ(testfix::path_diff(engine.extract_critical_path(c.nl, res),
+                                   ref_critical),
+                "")
+          << lanes << " lanes";
+    }
+  }
+}
+
+/// Runs `report` and returns the message of the error it throws, prefixed
+/// with "runtime_error: " or "out_of_range: ", or "no throw".
+std::string thrown(const std::function<void()>& report) {
+  try {
+    report();
+  } catch (const std::out_of_range& e) {
+    return std::string("out_of_range: ") + e.what();
+  } catch (const std::runtime_error& e) {
+    return std::string("runtime_error: ") + e.what();
+  }
+  return "no throw";
+}
+
+TEST_F(StaTest, ParallelReportRethrowsTheLowestEndpointsErrorThenRunsClean) {
+  // Twelve disjoint inverter chains of 20..31 cells, one PO each: a path's
+  // stage count names its chain, and breaking a chain breaks one path.
+  GateNetlist nl("chains");
+  std::vector<std::vector<int>> chain_nets;
+  for (int c = 0; c < 12; ++c) {
+    int net = nl.add_primary_input("a" + std::to_string(c));
+    chain_nets.emplace_back();
+    for (int i = 0; i < 20 + c; ++i) {
+      const int g = nl.add_cell(
+          "u" + std::to_string(c) + "_" + std::to_string(i),
+          cells.by_name("INVx1"), {net},
+          "w" + std::to_string(c) + "_" + std::to_string(i));
+      net = nl.cell(g).out_net;
+      chain_nets.back().push_back(net);
+    }
+    nl.mark_primary_output(net);
+  }
+  const ParasiticDb spef = generate_parasitics(nl, tech);
+  ThreadPool pool(3);
+  const StaEngine engine(model, tech, pool_config(pool, 4));
+  const StaEngine::Result res = engine.run(nl, spef);
+  const auto ref = engine.extract_worst_paths(nl, res, 12);
+  ASSERT_EQ(ref.size(), 12u);
+  const auto mid_net = [&](std::size_t p) {
+    const std::vector<int>& nets = chain_nets.at(ref[p].stages.size() - 20);
+    return static_cast<std::size_t>(nets[nets.size() / 2]);
+  };
+  // Breaks path p's backtrack halfway (both edges, whichever it takes).
+  const auto break_backtrack = [&](StaEngine::Result& r, std::size_t p) {
+    r.nets[mid_net(p)].from_pin = {-1, -1};
+  };
+  // Gives path p's middle stage a wire without the next stage's sink, so
+  // its stage fill throws std::out_of_range.
+  const auto drop_sink = [&](StaEngine::Result& r, std::size_t p) {
+    RcTree wire;
+    wire.add_node(0, 10.0, 1e-16);
+    wire.mark_sink(1, "elsewhere");
+    r.annotated[mid_net(p)] = wire;
+  };
+  const std::string broken =
+      "runtime_error: StaEngine: broken backtrack in chains";
+  const auto report = [&](const StaEngine::Result& r) {
+    return thrown([&] { (void)engine.extract_worst_paths(nl, r, 12); });
+  };
+  const auto expect_clean = [&] {
+    EXPECT_EQ(testfix::path_diff(engine.extract_worst_paths(nl, res, 12), ref),
+              "");
+  };
+
+  {
+    SCOPED_TRACE("one broken endpoint");
+    StaEngine::Result r = res;
+    break_backtrack(r, 5);
+    EXPECT_EQ(report(r), broken);
+    break_backtrack(r, 0);
+    EXPECT_EQ(thrown([&] { (void)engine.extract_critical_path(nl, r); }),
+              broken);
+    expect_clean();
+  }
+  {
+    SCOPED_TRACE("two broken endpoints");
+    StaEngine::Result r = res;
+    break_backtrack(r, 3);
+    break_backtrack(r, 9);
+    EXPECT_EQ(report(r), broken);
+    expect_clean();
+  }
+  // The lower endpoint's error wins whichever phase raises it.
+  {
+    SCOPED_TRACE("lower endpoint fails its stage fill");
+    StaEngine::Result r = res;
+    drop_sink(r, 2);
+    break_backtrack(r, 6);
+    EXPECT_EQ(report(r).rfind("out_of_range: ", 0), 0u) << report(r);
+    expect_clean();
+  }
+  {
+    SCOPED_TRACE("lower endpoint fails its backtrack");
+    StaEngine::Result r = res;
+    break_backtrack(r, 2);
+    drop_sink(r, 6);
+    EXPECT_EQ(report(r), broken);
+    expect_clean();
+  }
+}
+
+TEST_F(StaTest, ParallelReportPollsTheCancellationToken) {
+  const GateNetlist nl = generate_divider_chain(8, 2, cells);
+  const ParasiticDb spef = generate_parasitics(nl, tech);
+  ThreadPool pool(3);
+  CancellationToken token;
+  token.request_cancel();
+  const StaEngine plain(model, tech, pool_config(pool, 4));
+  const StaEngine cancelled(model, tech, pool_config(pool, 4, &token));
+  const StaEngine::Result res = plain.run(nl, spef);
+  const auto ref = plain.extract_worst_paths(nl, res, 8);
+  EXPECT_THROW((void)cancelled.extract_worst_paths(nl, res, 8),
+               CancelledError);
+  EXPECT_THROW((void)cancelled.extract_critical_path(nl, res), CancelledError);
+  EXPECT_EQ(testfix::path_diff(plain.extract_worst_paths(nl, res, 8), ref), "");
 }
 
 TEST(Annotate, SinkNamingConvention) {
